@@ -3,33 +3,26 @@
  * Shared helpers for the figure/table regeneration benches. Each
  * bench binary prints the rows/series of one paper artifact so the
  * output can be compared side by side with the paper (shape, not
- * absolute numbers -- see EXPERIMENTS.md).
+ * absolute numbers -- see DESIGN.md).
  */
 
 #ifndef REGATE_BENCH_BENCH_UTIL_H
 #define REGATE_BENCH_BENCH_UTIL_H
 
-#include <chrono>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
-#include "common/fsio.h"
 #include "common/table.h"
 #include "models/registry.h"
 #include "models/spec.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/report.h"
-#include "sim/serialize.h"
 #include "sim/sweep.h"
 
 namespace regate {
@@ -49,85 +42,46 @@ sweeper()
 }
 
 /**
- * Sharded-sweep CLI state shared by the figure/table binaries:
+ * The CLI every grid binary shares (initBench parses it):
  *
- *     figNN --shard i/N --out shard.json   simulate shard i of the
- *         binary's sweep grid, write the index-aligned results as
- *         JSON (sim/serialize.h), and exit without rendering;
- *     figNN --from merged.json [...]       skip simulation, load the
- *         full result vector from merged/shard files (together they
- *         must cover the grid exactly), and render normally — the
- *         stdout is byte-identical to an unsharded run;
- *     figNN --cases                        print the binary's total
- *         grid case count and exit (the orchestrator's planning
- *         query);
- *     figNN --worker --shard i/N --out f   shard mode plus the
- *         machine-readable worker handshake (see below).
+ *     figNN [--spec FILE]        replace the workload axis with the
+ *                                spec file's scenarios;
+ *     figNN --list-generators    print the workload generators and
+ *                                their spec keys, then exit;
+ *     figNN --cases              print the grid's case count, then
+ *                                exit without simulating;
+ *     figNN --trace-out FILE     record the run as trace-event JSON;
+ *     figNN --metrics-out FILE   write the metrics snapshot at exit.
  *
- * Shard files from different processes reassemble with
- * tools/merge_shards.py (or sim::mergeRunShards in-process);
- * `regate_orch` drives the whole split-run-merge loop as one
- * command.
- *
- * Worker handshake (what `--worker` adds): stdout carries the
- * protocol lines
- *
- *     @regate-worker v1 start kind=<run|search> shard=i/N
- *         cases=<total> range=<begin>..<end>
- *     @regate-worker v1 case <k>/<n>        (per completed case)
- *     @regate-worker v1 done out=<path> bytes=<n> file_digest=<hex16>
- *
- * where the `case` lines are the per-case heartbeat — one per
- * completed case of this shard's slice, monotone k, emitted in
- * completion order — that lets a driver time out on *stall* (no
- * heartbeat for its --stall-timeout-s) instead of wall clock,
- * distinguishing a straggling-but-alive shard from a wedged one;
- * and file_digest is sim::contentDigest of the exact bytes written
- * to --out, so a driver can verify the artifact that landed on
- * (possibly shared) storage end to end. Exit status protocol, worker
- * or not: 0 = success, 1 = runtime/config failure (message on
- * stderr), 2 = usage error. A worker killed by a signal reports the
- * usual waitpid status — no shutdown line is promised.
+ * Exit status: 0 = success, 1 = a scenario that cannot run (message
+ * on stderr names the binary, scenario and generation), 2 = usage
+ * error.
  */
 struct BenchCli
 {
-    int shardIndex = 0;
-    int shardCount = 0;  ///< 0 = not sharded.
-    std::string outPath;
-    std::vector<std::string> fromPaths;
-    bool casesOnly = false;
-    bool worker = false;
+    /** argv[0], for error messages. */
+    std::string program;
 
-    /**
-     * `--spec FILE` state: the user-defined scenarios that replace
-     * the binary's default workload axis (workloadAxis), and the spec
-     * file's content digest — stamped into every shard document this
-     * process writes and cross-checked against every `--from` file it
-     * reads, so results computed from a different (or no) spec file
-     * are rejected instead of rendered.
-     */
+    bool casesOnly = false;
+
+    /** `--spec FILE`: the scenarios that replace the binary's default
+     *  workload axis (workloadAxis). */
     std::string specPath;
     std::vector<std::shared_ptr<const models::ScenarioSpec>> scenarios;
-    std::string specDigest;
 
     /**
      * `--trace-out FILE`: record the run as Chrome/Perfetto
      * trace-event JSON (obs/trace.h) — graph build/compile and
      * engine phases, cache hits, one span per completed sweep case.
-     * Works in every mode (plain, --shard, --worker, --from).
      */
     std::string traceOut;
 
     /**
      * `--metrics-out FILE`: write the process's canonical metrics
-     * snapshot (obs::MetricsRegistry::writeSnapshot — the same
-     * writer `regate_orch --metrics-out` uses) at exit, covering
-     * every mode including the shard-mode std::exit(0) path.
+     * snapshot (obs::MetricsRegistry::writeSnapshot) at exit.
      */
     std::string metricsOut;
 
-    bool sharded() const { return shardCount > 0; }
-    bool fromFiles() const { return !fromPaths.empty(); }
     bool hasSpec() const { return !scenarios.empty(); }
 };
 
@@ -136,43 +90,6 @@ benchCli()
 {
     static BenchCli cli;
     return cli;
-}
-
-/**
- * Validate and parse an "i/N" shard spec. This is the one shard-spec
- * validator every binary shares (via initBench), so a malformed
- * spec, N <= 0, or i outside [0, N) produces the same usage error
- * everywhere instead of per-binary behavior. Returns false and sets
- * @p error without touching the outputs on rejection.
- */
-inline bool
-parseShardSpec(const std::string &spec, int &index, int &count,
-               std::string &error)
-{
-    int i = -1, n = 0;
-    char extra = 0;
-    if (std::sscanf(spec.c_str(), "%d/%d%c", &i, &n, &extra) != 2) {
-        error = "malformed shard spec '" + spec +
-                "' (want i/N, e.g. 0/4)";
-        return false;
-    }
-    if (n <= 0) {
-        error = "shard count must be positive in '" + spec + "'";
-        return false;
-    }
-    if (i < 0) {
-        error = "shard index must be non-negative in '" + spec + "'";
-        return false;
-    }
-    if (i >= n) {
-        error = "shard index " + std::to_string(i) +
-                " out of range for " + std::to_string(n) +
-                " shard(s) in '" + spec + "' (want 0 <= i < N)";
-        return false;
-    }
-    index = i;
-    count = n;
-    return true;
 }
 
 /**
@@ -203,13 +120,12 @@ inline void
 initBench(int argc, char **argv)
 {
     auto &cli = benchCli();
+    cli.program = argv[0];
     auto usage = [&](const std::string &msg) {
         std::cerr << argv[0] << ": " << msg << "\n"
                   << "usage: " << argv[0]
                   << " [--spec scenarios.spec] [--list-generators]"
-                  << " [--shard i/N --out shard.json [--worker]]"
-                  << " [--from results.json ...] [--cases]"
-                  << " [--trace-out trace.json]"
+                  << " [--cases] [--trace-out trace.json]"
                   << " [--metrics-out metrics.json]\n";
         std::exit(2);
     };
@@ -221,21 +137,8 @@ initBench(int argc, char **argv)
             cli.specPath = argv[i];
         } else if (arg == "--list-generators") {
             listGeneratorsAndExit();
-        } else if (arg == "--shard") {
-            if (++i >= argc)
-                usage("--shard needs an i/N argument");
-            std::string error;
-            if (!parseShardSpec(argv[i], cli.shardIndex,
-                                cli.shardCount, error))
-                usage(error);
         } else if (arg == "--cases") {
             cli.casesOnly = true;
-        } else if (arg == "--worker") {
-            cli.worker = true;
-        } else if (arg == "--out") {
-            if (++i >= argc)
-                usage("--out needs a path");
-            cli.outPath = argv[i];
         } else if (arg == "--trace-out") {
             if (++i >= argc)
                 usage("--trace-out needs a path");
@@ -244,37 +147,13 @@ initBench(int argc, char **argv)
             if (++i >= argc)
                 usage("--metrics-out needs a path");
             cli.metricsOut = argv[i];
-        } else if (arg == "--from") {
-            // Greedy: consume every following non-option argument,
-            // so "--from shard0.json shard1.json" works.
-            std::size_t before = cli.fromPaths.size();
-            for (++i; i < argc && argv[i][0] != '-'; ++i)
-                cli.fromPaths.emplace_back(argv[i]);
-            --i;
-            if (cli.fromPaths.size() == before)
-                usage("--from needs at least one path");
         } else {
             usage("unknown argument '" + arg + "'");
         }
     }
-    if (cli.sharded() && cli.fromFiles())
-        usage("--shard and --from are mutually exclusive");
-    if (cli.sharded() && cli.outPath.empty())
-        usage("--shard requires --out");
-    if (!cli.sharded() && !cli.outPath.empty())
-        usage("--out requires --shard (use --shard 0/1 for a "
-              "complete single-shard document)");
-    if (cli.casesOnly && (cli.sharded() || cli.fromFiles() ||
-                          cli.worker))
-        usage("--cases is a standalone query");
-    if (cli.worker && !cli.sharded())
-        usage("--worker requires --shard/--out (it only changes "
-              "how a shard run reports)");
     if (!cli.specPath.empty()) {
         try {
-            auto file = models::parseSpecFile(cli.specPath);
-            cli.scenarios = std::move(file.scenarios);
-            cli.specDigest = std::move(file.digest);
+            cli.scenarios = models::parseSpecFile(cli.specPath).scenarios;
         } catch (const ConfigError &e) {
             std::cerr << argv[0] << ": --spec: " << e.what() << "\n";
             std::exit(1);
@@ -282,7 +161,12 @@ initBench(int argc, char **argv)
     }
     if (!cli.traceOut.empty())
         obs::TraceRecorder::instance().start(cli.traceOut);
-    if (!cli.metricsOut.empty())
+    if (!cli.metricsOut.empty()) {
+        // Construct the registry before registering the writer:
+        // statics are destroyed in reverse order of construction,
+        // interleaved with atexit handlers, so this order keeps the
+        // registry alive while the writer runs.
+        obs::MetricsRegistry::instance();
         std::atexit([] {
             try {
                 obs::MetricsRegistry::instance().writeSnapshot(
@@ -291,33 +175,14 @@ initBench(int argc, char **argv)
                 std::cerr << "--metrics-out: " << e.what() << "\n";
             }
         });
-    // Always-on flight recorder: every grid binary dies with a
-    // postmortem timeline next to whatever it was producing (or
-    // next to the binary, when it produces only stdout).
-    std::string postmortem;
-    if (!cli.outPath.empty())
-        postmortem = cli.outPath;
-    else if (!cli.traceOut.empty())
-        postmortem = cli.traceOut;
-    else if (!cli.metricsOut.empty())
-        postmortem = cli.metricsOut;
-    else {
-        postmortem = argv[0];
-        auto slash = postmortem.find_last_of('/');
-        if (slash != std::string::npos)
-            postmortem = postmortem.substr(slash + 1);
     }
-    obs::FlightRecorder::installCrashHandlers(postmortem +
-                                              ".postmortem.json");
 }
 
 /**
  * The initBench counterpart for binaries with NO sweep grid (fig15
  * and tables 2/3 print closed-form/VLIW-core values): any argument —
- * including the orchestrator's/agent's `--cases` capability probe —
- * is rejected with a one-line usage error and exit 2, so pointing
- * `regate_orch`/`regate_agent` at one of these fails crisply at
- * probe time instead of as an opaque worker-failure loop.
+ * `--cases` included — is rejected with a one-line usage error and
+ * exit 2.
  */
 inline void
 initBenchNoGrid(int argc, char **argv)
@@ -325,16 +190,12 @@ initBenchNoGrid(int argc, char **argv)
     if (argc <= 1)
         return;
     std::cerr << argv[0] << ": unexpected argument '" << argv[1]
-              << "' — this binary has no sweep grid and does not "
-                 "speak the --shard/--cases worker protocol, so it "
-                 "cannot be driven by regate_orch or regate_agent\n";
+              << "' — this binary has no sweep grid and takes no "
+                 "arguments\n";
     std::exit(2);
 }
 
 namespace detail {
-
-using ::regate::readFile;
-using ::regate::writeFile;
 
 /** Handle `--cases`: print the grid size and exit successfully. */
 inline void
@@ -344,67 +205,6 @@ maybePrintCasesAndExit(std::size_t cases)
         return;
     std::cout << cases << "\n";
     std::exit(0);
-}
-
-/**
- * Worker-handshake start line, plus the REGATE_TEST_STALL_S test
- * hook: a worker that finds the variable sleeps that many seconds
- * before simulating, which is how the orchestrator's failure-path
- * tests manufacture a deterministic straggler for the timeout /
- * kill-reassignment machinery. Honored only in --worker mode.
- */
-inline void
-workerStart(const char *kind, sim::ShardRange range,
-            std::size_t cases)
-{
-    const auto &cli = benchCli();
-    if (!cli.worker)
-        return;
-    std::cout << "@regate-worker v1 start kind=" << kind
-              << " shard=" << cli.shardIndex << "/" << cli.shardCount
-              << " cases=" << cases << " range=" << range.begin
-              << ".." << range.end << "\n"
-              << std::flush;
-    REGATE_OBS(obs::FlightRecorder::instance().instant(
-        "worker.start",
-        ("shard=" + std::to_string(cli.shardIndex) + "/" +
-         std::to_string(cli.shardCount))
-            .c_str()));
-    if (const char *stall = std::getenv("REGATE_TEST_STALL_S")) {
-        long seconds = std::strtol(stall, nullptr, 10);
-        if (seconds > 0)
-            std::this_thread::sleep_for(
-                std::chrono::seconds(seconds));
-    }
-}
-
-/**
- * The per-case heartbeat emitter for --worker runs (null otherwise):
- * one `@regate-worker v1 case k/n` line per completed case. The
- * runner serializes progress callbacks and hands over strictly
- * increasing done counts (sim::SweepProgress), so the lines are
- * monotone without any locking here. The REGATE_TEST_SLOW_CASE_S
- * hook sleeps after each heartbeat — inside the serialized
- * callback, so heartbeats stay ~that far apart at any thread
- * count — which is how the stall-timeout tests manufacture a
- * straggling-but-ALIVE shard that must survive a stall timeout
- * shorter than its wall clock.
- */
-inline sim::SweepProgress
-workerProgress()
-{
-    if (!benchCli().worker)
-        return {};
-    long slow = 0;
-    if (const char *s = std::getenv("REGATE_TEST_SLOW_CASE_S"))
-        slow = std::strtol(s, nullptr, 10);
-    return [slow](std::size_t done, std::size_t total) {
-        std::cout << "@regate-worker v1 case " << done << "/"
-                  << total << "\n"
-                  << std::flush;
-        if (slow > 0)
-            std::this_thread::sleep_for(std::chrono::seconds(slow));
-    };
 }
 
 /**
@@ -419,129 +219,56 @@ workerProgress()
 constexpr int kSweepLane = 1000000;
 
 /**
- * Wrap a sweep-progress callback with per-case trace spans: each
- * completed case becomes one complete event on kSweepLane covering
- * the interval since the previous completion, seeded at
- * @p sweep_start so the first case's span begins where the
- * enclosing grid span does. The runner serializes progress
- * callbacks with strictly increasing done counts, so consecutive
- * spans never overlap. Case completions are mirrored into the
- * always-on flight recorder (same clock — obs::monotonicUs()), so
- * a crash mid-sweep leaves the recent cases in the postmortem even
- * without --trace-out.
+ * Per-case trace spans (null when tracing is off): each completed
+ * case becomes one complete event on kSweepLane covering the
+ * interval since the previous completion, seeded at @p sweep_start
+ * so the first case's span begins where the enclosing grid span
+ * does. The runner serializes progress callbacks with strictly
+ * increasing done counts, so consecutive spans never overlap.
  */
 inline sim::SweepProgress
-traceProgress(sim::SweepProgress inner, std::uint64_t sweep_start)
+traceProgress(std::uint64_t sweep_start)
 {
     auto &trace = obs::TraceRecorder::instance();
-    auto &flight = obs::FlightRecorder::instance();
-    if (!trace.enabled() && !flight.enabled())
-        return inner;
+    if (!trace.enabled())
+        return {};
     auto last = std::make_shared<std::uint64_t>(sweep_start);
-    return [inner, last, &trace, &flight](std::size_t done,
-                                          std::size_t total) {
-        auto now = obs::monotonicUs();
-        if (trace.enabled())
-            trace.completeLane("case", "sweep", kSweepLane, *last,
-                               now,
-                               {{"done", std::to_string(done)},
-                                {"total", std::to_string(total)}});
-        if (flight.enabled()) {
-            char detail[40];
-            std::snprintf(detail, sizeof detail, "%zu/%zu", done,
-                          total);
-            flight.complete("case", *last, now, detail, kSweepLane);
-        }
+    return [last, &trace](std::size_t done, std::size_t total) {
+        auto now = trace.nowUs();
+        trace.completeLane("case", "sweep", kSweepLane, *last, now,
+                           {{"done", std::to_string(done)},
+                            {"total", std::to_string(total)}});
         *last = now;
-        if (inner)
-            inner(done, total);
     };
 }
 
-/** Close the grid span and persist the trace (no-op when off). */
-inline void
-traceGridDone(const char *kind, std::uint64_t sweep_start,
-              std::size_t cases)
-{
-    auto &flight = obs::FlightRecorder::instance();
-    if (flight.enabled()) {
-        char detail[40];
-        std::snprintf(detail, sizeof detail, "cases=%zu", cases);
-        flight.complete(kind, sweep_start, obs::monotonicUs(),
-                        detail, kSweepLane);
-    }
-    auto &trace = obs::TraceRecorder::instance();
-    if (!trace.enabled())
-        return;
-    trace.completeLane(kind, "sweep", kSweepLane, sweep_start,
-                       trace.nowUs(),
-                       {{"cases", std::to_string(cases)}});
-    trace.flush();
-}
-
-/** Worker-handshake done line (digest of the bytes just written). */
-inline void
-workerDone(const std::string &path, const std::string &content)
-{
-    if (!benchCli().worker)
-        return;
-    std::cout << "@regate-worker v1 done out=" << path
-              << " bytes=" << content.size()
-              << " file_digest=" << sim::contentDigest(content)
-              << "\n"
-              << std::flush;
-}
-
-inline std::vector<sim::ShardDoc>
-loadShardDocs(const std::vector<std::string> &paths)
-{
-    std::vector<sim::ShardDoc> docs;
-    docs.reserve(paths.size());
-    for (const auto &path : paths) {
-        docs.push_back(sim::parseShard(readFile(path)));
-        // Results must come from this run's exact spec file (or from
-        // no spec, matching this run): a digest mismatch means the
-        // numbers answer a different question than the grid we are
-        // about to render them into.
-        REGATE_CHECK(
-            docs.back().specDigest == benchCli().specDigest, path,
-            ": spec digest mismatch (results carry \"",
-            docs.back().specDigest, "\", this run expects \"",
-            benchCli().specDigest,
-            "\") — results computed from a different spec file?");
-    }
-    return docs;
-}
-
 /**
- * Run a --from / --shard step, turning ConfigError (bad file, bad
- * coverage, unwritable path) and LogicError (corrupted result data
- * caught by invariant re-checks, e.g. a hand-edited timeline) into a
- * clean CLI failure instead of an uncaught-exception abort.
+ * Run one sweep of the grid (@p sweep is the runner call) inside a
+ * @p kind trace span. A scenario that cannot run (a ConfigError, which
+ * the runner tags with the case's scenario and generation) ends the
+ * process with exit 1 and the binary's name on the message.
  */
-template <typename Fn>
+template <typename Sweep>
 auto
-orDie(const char *what, Fn &&fn) -> decltype(fn())
+tracedSweep(const char *kind, std::size_t cases, Sweep &&sweep)
 {
+    auto &trace = obs::TraceRecorder::instance();
+    auto sweep_start = trace.nowUs();
     try {
-        return fn();
+        auto results = sweep(traceProgress(sweep_start));
+        if (trace.enabled()) {
+            trace.completeLane(kind, "sweep", kSweepLane, sweep_start,
+                               trace.nowUs(),
+                               {{"cases", std::to_string(cases)}});
+            trace.flush();
+        }
+        return results;
     } catch (const ConfigError &e) {
-        std::cerr << what << ": " << e.what() << "\n";
-        std::exit(1);
-    } catch (const LogicError &e) {
-        std::cerr << what << ": " << e.what() << "\n";
+        std::cerr << benchCli().program << ": " << e.what() << "\n";
         std::exit(1);
     }
 }
 
-/**
- * --from results must be the results of THIS binary's grid, not just
- * any grid of the same size: every serialized case carries its
- * (workload, generation, gating params), so a results file from a
- * different binary — even one whose grid shares workloads and
- * generations, like fig21 vs fig22 — fails here instead of
- * rendering silently wrong figures.
- */
 /** Display name of a report's case (scenario name or enum name). */
 inline std::string
 caseName(const sim::WorkloadReport &rep)
@@ -550,133 +277,28 @@ caseName(const sim::WorkloadReport &rep)
                         : models::workloadName(rep.workload);
 }
 
-inline void
-checkCaseIdentity(const sim::WorkloadReport &rep,
-                  const sim::SweepCase &expect, std::size_t index)
-{
-    bool identity_ok =
-        expect.scenario
-            ? (rep.scenario &&
-               rep.scenario->sameScenario(*expect.scenario))
-            : (!rep.scenario && rep.workload == expect.workload);
-    REGATE_CHECK(identity_ok && rep.gen == expect.gen &&
-                     rep.gatingParams() == expect.params &&
-                     (!expect.hasSetup || rep.setup == expect.setup),
-                 "result ", index, " is for ", caseName(rep), "/",
-                 arch::generationName(rep.gen),
-                 " with different case parameters than this "
-                 "binary's grid expects — wrong results file?");
-}
-
 }  // namespace detail
 
-/**
- * Run the binary's sweep grid honoring the sharding CLI: shard mode
- * simulates only this process's slice, writes the shard JSON, and
- * exits; --from mode loads previously computed results instead of
- * simulating. The default is the plain in-process parallel sweep.
- */
+/** Run the binary's sweep grid: the plain in-process parallel sweep. */
 inline std::vector<sim::WorkloadReport>
 runGrid(const std::vector<sim::SweepCase> &grid)
 {
-    const auto &cli = benchCli();
     detail::maybePrintCasesAndExit(grid.size());
-    if (cli.fromFiles()) {
-        return detail::orDie("--from", [&] {
-            auto merged = sim::mergeRunShards(
-                detail::loadShardDocs(cli.fromPaths));
-            REGATE_CHECK(merged.size() == grid.size(),
-                         "results cover ", merged.size(),
-                         " cases but this binary's grid has ",
-                         grid.size());
-            for (std::size_t i = 0; i < merged.size(); ++i)
-                detail::checkCaseIdentity(merged[i], grid[i], i);
-            return merged;
+    return detail::tracedSweep(
+        "grid.run", grid.size(), [&](const sim::SweepProgress &p) {
+            return sweeper().run(grid, p);
         });
-    }
-    if (cli.sharded()) {
-        auto range = sim::shardRange(grid.size(), cli.shardIndex,
-                                     cli.shardCount);
-        detail::workerStart("run", range, grid.size());
-        auto sweep_start = obs::monotonicUs();
-        auto results =
-            sweeper().run(sim::shardGrid(grid, cli.shardIndex,
-                                         cli.shardCount),
-                          detail::traceProgress(
-                              detail::workerProgress(), sweep_start));
-        detail::traceGridDone("grid.run", sweep_start,
-                              range.end - range.begin);
-        detail::orDie("--out", [&] {
-            auto doc =
-                sim::writeRunShard(results, range.begin, grid.size(),
-                                   cli.shardIndex, cli.shardCount,
-                                   cli.specDigest);
-            detail::writeFile(cli.outPath, doc);
-            detail::workerDone(cli.outPath, doc);
-            return 0;
-        });
-        std::exit(0);
-    }
-    auto sweep_start = obs::monotonicUs();
-    auto results =
-        sweeper().run(grid, detail::traceProgress({}, sweep_start));
-    detail::traceGridDone("grid.run", sweep_start, grid.size());
-    return results;
 }
 
 /** SLO-search counterpart of runGrid (the fig02/table4 path). */
 inline std::vector<sim::SloResult>
 searchGrid(const std::vector<sim::SweepCase> &grid)
 {
-    const auto &cli = benchCli();
     detail::maybePrintCasesAndExit(grid.size());
-    if (cli.fromFiles()) {
-        return detail::orDie("--from", [&] {
-            auto merged = sim::mergeSearchShards(
-                detail::loadShardDocs(cli.fromPaths));
-            REGATE_CHECK(merged.size() == grid.size(),
-                         "results cover ", merged.size(),
-                         " cases but this binary's grid has ",
-                         grid.size());
-            // The winning report keeps the searched case's identity
-            // (the search only varies the setup).
-            for (std::size_t i = 0; i < merged.size(); ++i) {
-                sim::SweepCase expect = grid[i];
-                expect.hasSetup = false;
-                detail::checkCaseIdentity(merged[i].report, expect,
-                                          i);
-            }
-            return merged;
+    return detail::tracedSweep(
+        "grid.search", grid.size(), [&](const sim::SweepProgress &p) {
+            return sweeper().search(grid, p);
         });
-    }
-    if (cli.sharded()) {
-        auto range = sim::shardRange(grid.size(), cli.shardIndex,
-                                     cli.shardCount);
-        detail::workerStart("search", range, grid.size());
-        auto sweep_start = obs::monotonicUs();
-        auto results =
-            sweeper().search(sim::shardGrid(grid, cli.shardIndex,
-                                            cli.shardCount),
-                             detail::traceProgress(
-                                 detail::workerProgress(),
-                                 sweep_start));
-        detail::traceGridDone("grid.search", sweep_start,
-                              range.end - range.begin);
-        detail::orDie("--out", [&] {
-            auto doc = sim::writeSearchShard(
-                results, range.begin, grid.size(), cli.shardIndex,
-                cli.shardCount, cli.specDigest);
-            detail::writeFile(cli.outPath, doc);
-            detail::workerDone(cli.outPath, doc);
-            return 0;
-        });
-        std::exit(0);
-    }
-    auto sweep_start = obs::monotonicUs();
-    auto results = sweeper().search(
-        grid, detail::traceProgress({}, sweep_start));
-    detail::traceGridDone("grid.search", sweep_start, grid.size());
-    return results;
 }
 
 /** Simulate (workload, gen) pairs in parallel, input-ordered. */
@@ -862,13 +484,12 @@ reportFor(const std::vector<sim::WorkloadReport> &reports,
 
 /**
  * Print the standard bench banner — except in `--cases` mode (the
- * query must print a bare number) and shard mode (results go to
- * --out and stdout belongs to the worker protocol).
+ * query must print a bare number).
  */
 inline void
 banner(const std::string &artifact, const std::string &caption)
 {
-    if (benchCli().casesOnly || benchCli().sharded())
+    if (benchCli().casesOnly)
         return;
     std::cout << "==============================================="
                  "=============\n"

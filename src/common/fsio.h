@@ -1,32 +1,18 @@
 /**
  * @file
- * Whole-file read/write helpers shared by the bench CLI and the
- * orchestration subsystem. Shard documents and plan files are small
- * and line-oriented, so whole-file IO is the right granularity;
- * errors surface as ConfigError with the offending path.
+ * Whole-file write helper (the metrics snapshot writer). Errors
+ * surface as ConfigError with the offending path.
  */
 
 #ifndef REGATE_COMMON_FSIO_H
 #define REGATE_COMMON_FSIO_H
 
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/error.h"
 
 namespace regate {
-
-inline std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    REGATE_CHECK(in.good(), "cannot open ", path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    REGATE_CHECK(in.good() || in.eof(), "error reading ", path);
-    return buf.str();
-}
 
 inline void
 writeFile(const std::string &path, const std::string &content)

@@ -28,11 +28,11 @@ fnv1a64Extend(std::uint64_t h, const void *data, std::size_t len)
 }
 
 /**
- * 64-bit FNV-1a over a byte range. Used for the content digests of
- * serialized artifacts (shard files, worker handshakes), where the
- * digest must be reproducible across processes, platforms, and the
- * Python tooling (tools/merge_shards.py implements the same
- * function) — unlike std::hash, whose value is unspecified.
+ * 64-bit FNV-1a over a byte range. Used for content digests (spec
+ * files, the metrics snapshot footer), where the digest must be
+ * reproducible across processes, platforms, and the Python tooling
+ * (tests/cli_check.py implements the same function) — unlike
+ * std::hash, whose value is unspecified.
  */
 inline std::uint64_t
 fnv1a64(const void *data, std::size_t len)

@@ -123,10 +123,11 @@ class ThreadPool
 /**
  * Apply @p fn to every item, running tasks on @p pool, and return the
  * results in input order. Deterministic regardless of worker count or
- * scheduling; exceptions from @p fn propagate to the caller. Each
- * task owns copies of @p fn and its item, so an exception that
- * unwinds this frame early never leaves queued tasks with dangling
- * references (the pool may outlive the call).
+ * scheduling; the exception of the first failing item (in input
+ * order) propagates to the caller, once every task has finished — so
+ * no task is still running when the caller handles the error (for
+ * example by exiting, which destroys the statics tasks use). Each
+ * task owns copies of @p fn and its item.
  *
  * Do not call this from a task already running on @p pool: the outer
  * task would block on futures that need the same workers (give nested
@@ -144,6 +145,8 @@ parallelMapOrdered(ThreadPool &pool, const std::vector<T> &items, Fn fn)
         futures.push_back(
             pool.submit([fn, item] { return fn(item); }));
     }
+    for (auto &fut : futures)
+        fut.wait();
     std::vector<R> out;
     out.reserve(items.size());
     for (auto &fut : futures)

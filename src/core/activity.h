@@ -76,19 +76,6 @@ class ActivityTimeline
     static ActivityTimeline fromIntervals(Cycles span,
                                           std::vector<Interval> active);
 
-    /**
-     * Reassemble a timeline from its stored compressed form (the
-     * exact fields the accessors expose) — the deserialization path
-     * of sim/serialize.h. @p gaps must be sorted ascending with no
-     * duplicate lengths; all invariants are re-checked, so a
-     * corrupted or hand-edited shard file fails loudly here.
-     */
-    static ActivityTimeline fromParts(Cycles span, Cycles active,
-                                      std::uint64_t activations,
-                                      std::vector<GapGroup> gaps,
-                                      Cycles leading_idle,
-                                      Cycles trailing_idle);
-
     /** Append another timeline after this one, merging seam gaps. */
     void append(const ActivityTimeline &next);
 

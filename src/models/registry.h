@@ -4,7 +4,7 @@
  * codes-workload-method table): each workload family registers one
  * WorkloadGenerator behind the GeneratorRegistry, and everything
  * downstream — the Workload enum shims, the text-spec parser, the
- * figure binaries, the fleet — constructs graphs exclusively through
+ * figure binaries — constructs graphs exclusively through
  * this interface. Adding a scenario family means registering a
  * generator in the library; no figure binary changes.
  *

@@ -9,7 +9,7 @@ namespace models {
 
 namespace {
 
-/** Canonical double spelling shared with sim/serialize.cc. */
+/** Canonical double spelling (%.17g: round-trips exactly). */
 std::string
 canonicalDouble(double v)
 {

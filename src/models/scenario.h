@@ -11,8 +11,8 @@
  * (models/spec.h) without recompiling anything.
  *
  * Identity: the `name` is display-only. Everything else — the
- * canonical `identityText()` — keys caches, builtin matching, and
- * fleet digests, so two specs that build the same graphs compare
+ * canonical `identityText()` — keys caches and builtin matching,
+ * so two specs that build the same graphs compare
  * equal no matter what their sections were called.
  */
 
@@ -67,8 +67,8 @@ struct ScenarioSpec
 
     /**
      * Canonical single-line spelling of every identity field (all
-     * but `name`). Keys the scenario-aware caches and the fleet's
-     * spec digest; equal text means interchangeable scenarios.
+     * but `name`). Keys the scenario-aware caches; equal text means
+     * interchangeable scenarios.
      */
     std::string identityText() const;
 

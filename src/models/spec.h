@@ -25,8 +25,7 @@
  *
  * The canonical dump (defaults filled, keys in fixed order)
  * round-trips through the parser to identical scenarios, and its
- * digest is the spec identity the fleet cross-checks so one sweep
- * can never mix mismatched spec files.
+ * digest is the spec file's identity.
  */
 
 #ifndef REGATE_MODELS_SPEC_H
@@ -51,8 +50,7 @@ struct SpecFile
     std::string canonicalText;
 
     /**
-     * FNV-1a digest (hex16) of canonicalText — the spec identity
-     * carried in shard headers and the fleet's hello cross-check.
+     * FNV-1a digest (hex16) of canonicalText — the spec identity.
      * Textual variants of the same scenarios share a digest.
      */
     std::string digest;

@@ -14,10 +14,9 @@ namespace obs {
 namespace {
 
 // -----------------------------------------------------------------
-// Canonical JSON appenders, mirroring sim/serialize.cc: C-locale,
-// %.17g doubles, decimal 64-bit integers, escaped strings. The
-// snapshot must be byte-stable and diffable, exactly like a shard
-// document.
+// Canonical JSON appenders: C-locale, %.17g doubles, decimal 64-bit
+// integers, escaped strings. The snapshot must be byte-stable and
+// diffable.
 // -----------------------------------------------------------------
 
 void
@@ -167,9 +166,7 @@ Histogram::reset()
 const std::vector<std::uint64_t> &
 durationUsBounds()
 {
-    // 100us .. 100s in decade thirds (1, 2, 5), microseconds. Wide
-    // enough that a whole fleet's case durations land in-range on
-    // both fast CI machines and injected-slow test shards.
+    // 100us .. 100s in decade thirds (1, 2, 5), microseconds.
     static const std::vector<std::uint64_t> bounds = {
         100,      200,      500,       1000,      2000,
         5000,     10000,    20000,     50000,     100000,
@@ -261,35 +258,6 @@ MetricsRegistry::histogram(const std::string &name,
             bounds.empty() ? durationUsBounds()
                            : std::move(bounds));
     });
-}
-
-void
-MetricsRegistry::addCounter(const std::string &name,
-                            std::uint64_t delta)
-{
-    counter(name).add(delta);
-}
-
-void
-MetricsRegistry::recordHistogram(const std::string &name,
-                                 std::uint64_t value,
-                                 std::uint64_t n)
-{
-    histogram(name).record(value, n);
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-MetricsRegistry::counterValues() const
-{
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        out.reserve(counters_.size());
-        for (const auto &e : counters_)
-            out.emplace_back(e.name, e.value->value());
-    }
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 std::string
@@ -406,8 +374,7 @@ std::string
 MetricsRegistry::writeSnapshot(const std::string &path) const
 {
     auto snapshot = snapshotJson();
-    // .part + rename, like every other canonical artifact: readers
-    // never observe a torn snapshot.
+    // .part + rename: readers never observe a torn snapshot.
     auto part = path + ".part";
     writeFile(part, snapshot);
     REGATE_CHECK(std::rename(part.c_str(), path.c_str()) == 0,

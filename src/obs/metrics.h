@@ -2,9 +2,8 @@
  * @file
  * obs::MetricsRegistry — one process-wide, thread-safe registry of
  * named counters, gauges, and fixed-bucket histograms, replacing the
- * ad-hoc per-subsystem counters (cache hits/misses, run copies,
- * reconnect attempts, steal wins) with a single introspection
- * surface.
+ * ad-hoc per-subsystem counters (cache hits/misses, run copies) with
+ * a single introspection surface.
  *
  * Design goals, in order:
  *
@@ -16,23 +15,17 @@
  *    and with it every recording statement routed through it — out
  *    entirely.
  *  - dependency-free: <atomic>, <mutex>, std containers only, so
- *    every layer (common/, sim/, net/, orch/, bench/) can record
- *    without dependency cycles.
- *  - byte-stable snapshots: snapshotJson() is a canonical writer in
- *    the sim/serialize mold (fixed key order, sorted names, C-locale
- *    %.17g doubles, one entry per line, FNV-1a content digest
- *    footer), so two snapshots of equal state are equal bytes and a
- *    sweep-wide aggregate is diffable across runs.
+ *    every layer (common/, sim/, bench/) can record without
+ *    dependency cycles.
+ *  - byte-stable snapshots: snapshotJson() is a canonical writer
+ *    (fixed key order, sorted names, C-locale %.17g doubles, one
+ *    entry per line, FNV-1a content digest footer), so two snapshots
+ *    of equal state are equal bytes and diffable across runs.
  *
  * Instruments are created on first use and never destroyed
  * (references stay valid for the process lifetime); resetForTest()
  * zeroes every value but keeps the registrations, giving tests a
  * clean slate without invalidating cached references.
- *
- * The registry also doubles as the fleet aggregation point: the
- * orchestrator folds metric samples streamed by remote agents into
- * the same named instruments via addCounter()/recordHistogram(), so
- * the --metrics-out snapshot covers the whole sweep.
  */
 
 #ifndef REGATE_OBS_METRICS_H
@@ -43,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 /**
@@ -131,8 +123,7 @@ class Gauge
  * Fixed-bucket histogram of non-negative integer samples (durations
  * in microseconds, byte sizes). Bucket bounds are upper bounds,
  * strictly ascending; one implicit overflow bucket catches the rest.
- * count/sum are exact regardless of bucketing, so mean() is exact —
- * the straggler picker's ETA feeds on it.
+ * count/sum are exact regardless of bucketing, so mean() is exact.
  */
 class Histogram
 {
@@ -176,16 +167,15 @@ class Histogram
 };
 
 /**
- * Canonical duration buckets (microseconds) shared by every process
- * in a fleet, so agent-side and driver-side case-duration histograms
- * aggregate bucket-for-bucket: 100us .. 100s, decade thirds.
+ * Canonical duration buckets (microseconds), the default for every
+ * histogram: 100us .. 100s, decade thirds.
  */
 const std::vector<std::uint64_t> &durationUsBounds();
 
 /**
  * Histogram::percentile() on captured state — the snapshot writer
- * and status endpoint compute quantiles from the same bucket vector
- * they serialize, so the numbers in one document are consistent.
+ * computes quantiles from the same bucket vector it serializes, so
+ * the numbers in one document are consistent.
  */
 std::uint64_t histogramPercentile(
     const std::vector<std::uint64_t> &bounds,
@@ -221,18 +211,6 @@ class MetricsRegistry
     Histogram &histogram(const std::string &name,
                          std::vector<std::uint64_t> bounds = {});
 
-    /** Fleet aggregation entry points (find-or-create by name). */
-    void addCounter(const std::string &name, std::uint64_t delta);
-    void recordHistogram(const std::string &name, std::uint64_t value,
-                         std::uint64_t n = 1);
-
-    /**
-     * Every counter's (name, value), sorted by name. The agent's
-     * delta streamer diffs two of these to report only what moved.
-     */
-    std::vector<std::pair<std::string, std::uint64_t>>
-    counterValues() const;
-
     /**
      * Canonical-JSON snapshot of every instrument (see file
      * comment). Byte-stable: equal registry state serializes to
@@ -242,10 +220,9 @@ class MetricsRegistry
 
     /**
      * Write snapshotJson() to @p path atomically (.part + rename) —
-     * the canonical writer shared by `regate_orch --metrics-out`
-     * and every grid binary's `--metrics-out`. Returns the snapshot
-     * that was written (for digest reporting). Throws ConfigError
-     * when the file cannot be written.
+     * every grid binary's `--metrics-out`. Returns the snapshot that
+     * was written. Throws ConfigError when the file cannot be
+     * written.
      */
     std::string writeSnapshot(const std::string &path) const;
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * obs::TraceRecorder — scoped spans and instant events emitted as
- * Chrome/Perfetto `trace_event` JSON, so a simulation run, a sweep,
- * or a whole orchestrated fleet renders as one openable timeline
- * (chrome://tracing or https://ui.perfetto.dev).
+ * Chrome/Perfetto `trace_event` JSON, so a simulation run or a sweep
+ * renders as one openable timeline (chrome://tracing or
+ * https://ui.perfetto.dev).
  *
  * Off by default: recording is gated on one relaxed atomic flag, so
  * binaries run without `--trace-out` pay a single predictable branch
@@ -16,13 +16,13 @@
  * complete out of start order.
  *
  * Lanes: by default an event's tid is a small stable integer per
- * OS thread (allocated on first use). Single-threaded drivers that
- * multiplex many logical lanes (the orchestrator's fleet slots) pass
- * an explicit lane instead, so every slot renders as its own row.
+ * OS thread (allocated on first use). Timelines that are not tied to
+ * one thread (the grid binaries' per-case sweep progress) pass an
+ * explicit lane instead, so they render as their own row.
  *
- * Timestamps are microseconds on std::chrono::steady_clock, origin
- * at recorder start — monotone by construction, which
- * tools/trace_check.py verifies along with span nesting.
+ * Timestamps are microseconds on the steady clock (monotonicUs()) —
+ * monotone by construction, which tools/trace_check.py verifies
+ * along with span nesting.
  */
 
 #ifndef REGATE_OBS_TRACE_H
@@ -35,10 +35,12 @@
 #include <utility>
 #include <vector>
 
-#include "obs/flight_recorder.h"
-
 namespace regate {
 namespace obs {
+
+/** Microseconds since a process-wide steady-clock origin, pinned on
+ *  first call. */
+std::uint64_t monotonicUs();
 
 class TraceRecorder
 {
@@ -69,10 +71,6 @@ class TraceRecorder
     void instant(const std::string &name, const std::string &cat,
                  std::vector<Arg> args = {});
 
-    /** Instant event on an explicit lane. */
-    void instantLane(const std::string &name, const std::string &cat,
-                     int lane, std::vector<Arg> args = {});
-
     /**
      * Complete span ("ph":"X") on the calling thread's lane, from
      * @p start_us (a prior nowUs()) to now.
@@ -88,27 +86,14 @@ class TraceRecorder
 
     /**
      * Write every buffered event (sorted by timestamp) as a JSON
-     * array to the start() path and clear the buffer. Safe to call
-     * when disabled (no-op) or repeatedly (rewrites the file with
-     * all events recorded so far — events are retained so a crash
-     * after an intermediate flush still leaves a complete file).
+     * array to the start() path. Safe to call when disabled (no-op)
+     * or repeatedly (rewrites the file with all events recorded so
+     * far).
      */
     void flush();
 
-    /**
-     * Best-effort salvage of the buffered trace from a fatal-signal
-     * handler: writes every event recorded so far to the start()
-     * path using only fd writes and preallocated scratch — no
-     * allocation, no blocking lock (gives up if another thread holds
-     * the recorder mid-push). Without --trace-out it is a no-op.
-     * This is how a partial trace survives an abnormal exit.
-     */
-    void crashDump();
-
     /** RAII span: records one complete event when it goes out of
-     *  scope, and mirrors begin/end markers into the flight
-     *  recorder so a crash mid-span leaves an open 'B' in the
-     *  postmortem. Cheap when both recorders are disabled. */
+     *  scope. One relaxed load when the recorder is disabled. */
     class Span
     {
       public:
@@ -116,20 +101,14 @@ class TraceRecorder
             : name_(name), cat_(cat),
               start_(TraceRecorder::instance().enabled()
                          ? TraceRecorder::instance().nowUs()
-                         : kOff),
-              flight_(FlightRecorder::instance().enabled())
-        {
-            if (flight_)
-                FlightRecorder::instance().begin(name_);
-        }
+                         : kOff)
+        {}
 
         ~Span()
         {
             if (start_ != kOff)
                 TraceRecorder::instance().complete(name_, cat_,
                                                    start_);
-            if (flight_)
-                FlightRecorder::instance().end(name_);
         }
 
         Span(const Span &) = delete;
@@ -140,7 +119,6 @@ class TraceRecorder
         const char *name_;
         const char *cat_;
         std::uint64_t start_;
-        bool flight_;
     };
 
   private:
@@ -163,12 +141,8 @@ class TraceRecorder
     std::atomic<bool> enabled_{false};
     mutable std::mutex mu_;
     std::string path_;
-    std::uint64_t originNs_ = 0;
     std::vector<Event> events_;
     std::vector<std::uint64_t> threadLanes_;
-    /** crashDump() sort scratch; push() keeps its capacity ahead of
-     *  events_.size() so the handler never allocates. */
-    std::vector<const Event *> crashScratch_;
 };
 
 }  // namespace obs

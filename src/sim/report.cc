@@ -136,12 +136,15 @@ traceRunCacheHit()
         trace.instant("run_cache.hit", "sim");
 }
 
-WorkloadReport
-simulateImpl(models::Workload workload, arch::NpuGeneration gen,
-             const arch::GatingParams &params,
+/**
+ * Fill @p rep's identity, setup and units for @p workload on @p gen,
+ * and return the simulated run for the caller to attach.
+ */
+std::shared_ptr<const WorkloadRun>
+simulateImpl(WorkloadReport &rep, models::Workload workload,
+             arch::NpuGeneration gen, const arch::GatingParams &params,
              const models::RunSetup *setup_override, bool memoize)
 {
-    WorkloadReport rep;
     rep.workload = workload;
     rep.gen = gen;
     rep.setup = setup_override ? *setup_override
@@ -158,9 +161,8 @@ simulateImpl(models::Workload workload, arch::NpuGeneration gen,
                                               gen, params);
         if (cached) {
             traceRunCacheHit();
-            ReportSerializeAccess::setRun(rep, std::move(cached));
             rep.units = models::unitsPerRun(workload, rep.setup);
-            return rep;
+            return cached;
         }
     }
 
@@ -190,25 +192,23 @@ simulateImpl(models::Workload workload, arch::NpuGeneration gen,
         obs::TraceRecorder::Span span("engine.run", "sim");
         return engine.run(compiled->graph, rep.setup.chips);
     };
+    std::shared_ptr<const WorkloadRun> run;
     if (memoize) {
         engine.setOpCache(&sharedOpCache(gen));
         // Move the fresh run into the memo and alias its canonical
         // entry: the report shares the cached run instead of owning
         // a private deep copy.
-        ReportSerializeAccess::setRun(
-            rep, sharedRunCache().store(workload, rep.setup, gen,
-                                        params, runEngine()));
+        run = sharedRunCache().store(workload, rep.setup, gen, params,
+                                     runEngine());
     } else {
         // The uncached path must leave every shared cache untouched
         // (fig16 validates the memo against it), so the run is owned
         // privately, never routed through sharedRunCache().
         engine.setMemoization(false);
-        ReportSerializeAccess::setRun(
-            rep,
-            std::make_shared<const WorkloadRun>(runEngine()));
+        run = std::make_shared<const WorkloadRun>(runEngine());
     }
     rep.units = models::unitsPerRun(workload, rep.setup);
-    return rep;
+    return run;
 }
 
 /**
@@ -217,14 +217,14 @@ simulateImpl(models::Workload workload, arch::NpuGeneration gen,
  * so enum points and scenario points live side by side in the shared
  * memos without collisions.
  */
-WorkloadReport
-scenarioImpl(std::shared_ptr<const models::ScenarioSpec> spec,
+std::shared_ptr<const WorkloadRun>
+scenarioImpl(WorkloadReport &rep,
+             std::shared_ptr<const models::ScenarioSpec> spec,
              arch::NpuGeneration gen,
              const arch::GatingParams &params,
              const models::RunSetup *setup_override, bool memoize)
 {
     REGATE_CHECK(spec, "null scenario spec");
-    WorkloadReport rep;
     rep.scenario = std::move(spec);
     rep.gen = gen;
     rep.setup = setup_override
@@ -240,10 +240,9 @@ scenarioImpl(std::shared_ptr<const models::ScenarioSpec> spec,
             sharedRunCache().lookup(RunKey{graph_key, params});
         if (cached) {
             traceRunCacheHit();
-            ReportSerializeAccess::setRun(rep, std::move(cached));
             rep.units = models::scenarioUnitsPerRun(*rep.scenario,
                                                     rep.setup);
-            return rep;
+            return cached;
         }
     }
 
@@ -270,20 +269,18 @@ scenarioImpl(std::shared_ptr<const models::ScenarioSpec> spec,
         obs::TraceRecorder::Span span("engine.run", "sim");
         return engine.run(compiled->graph, rep.setup.chips);
     };
+    std::shared_ptr<const WorkloadRun> run;
     if (memoize) {
         engine.setOpCache(&sharedOpCache(gen));
-        ReportSerializeAccess::setRun(
-            rep, sharedRunCache().store(RunKey{graph_key, params},
-                                        runEngine()));
+        run = sharedRunCache().store(RunKey{graph_key, params},
+                                     runEngine());
     } else {
         engine.setMemoization(false);
-        ReportSerializeAccess::setRun(
-            rep,
-            std::make_shared<const WorkloadRun>(runEngine()));
+        run = std::make_shared<const WorkloadRun>(runEngine());
     }
     rep.units =
         models::scenarioUnitsPerRun(*rep.scenario, rep.setup);
-    return rep;
+    return run;
 }
 
 }  // namespace
@@ -293,7 +290,9 @@ simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
                  const arch::GatingParams &params,
                  const models::RunSetup *setup_override)
 {
-    auto rep = simulateImpl(workload, gen, params, setup_override, true);
+    WorkloadReport rep;
+    rep.run_ =
+        simulateImpl(rep, workload, gen, params, setup_override, true);
     rep.params_ = params;
     return rep;
 }
@@ -304,8 +303,9 @@ simulateWorkloadUncached(models::Workload workload,
                          const arch::GatingParams &params,
                          const models::RunSetup *setup_override)
 {
-    auto rep =
-        simulateImpl(workload, gen, params, setup_override, false);
+    WorkloadReport rep;
+    rep.run_ =
+        simulateImpl(rep, workload, gen, params, setup_override, false);
     rep.params_ = params;
     return rep;
 }
@@ -316,7 +316,8 @@ simulateScenario(std::shared_ptr<const models::ScenarioSpec> spec,
                  const arch::GatingParams &params,
                  const models::RunSetup *setup_override)
 {
-    auto rep = scenarioImpl(std::move(spec), gen, params,
+    WorkloadReport rep;
+    rep.run_ = scenarioImpl(rep, std::move(spec), gen, params,
                             setup_override, true);
     rep.params_ = params;
     return rep;
@@ -328,7 +329,8 @@ simulateScenarioUncached(
     arch::NpuGeneration gen, const arch::GatingParams &params,
     const models::RunSetup *setup_override)
 {
-    auto rep = scenarioImpl(std::move(spec), gen, params,
+    WorkloadReport rep;
+    rep.run_ = scenarioImpl(rep, std::move(spec), gen, params,
                             setup_override, false);
     rep.params_ = params;
     return rep;

@@ -27,8 +27,6 @@ struct FleetParams
     double pue = 1.1;        ///< Power usage efficiency.
 };
 
-struct ReportSerializeAccess;
-
 /** One simulated workload on one generation. */
 struct WorkloadReport
 {
@@ -95,8 +93,6 @@ struct WorkloadReport
     const arch::GatingParams &gatingParams() const { return params_; }
 
   private:
-    /** Construction backdoor to run_/params_ (serialization, tests). */
-    friend struct ReportSerializeAccess;
     friend WorkloadReport simulateWorkload(models::Workload,
                                            arch::NpuGeneration,
                                            const arch::GatingParams &,
@@ -114,35 +110,6 @@ struct WorkloadReport
         const models::RunSetup *);
     std::shared_ptr<const WorkloadRun> run_;
     arch::GatingParams params_;
-};
-
-/**
- * Backdoor to WorkloadReport's private run_/params_ for code that
- * constructs reports outside simulateWorkload*: the serializer
- * (sim/serialize.cc), the report facade itself, and tests that need
- * a report around a hand-built run. Not for figure/analysis code —
- * read through run() and gatingParams().
- */
-struct ReportSerializeAccess
-{
-    static const arch::GatingParams &
-    params(const WorkloadReport &rep)
-    {
-        return rep.params_;
-    }
-
-    static void
-    setParams(WorkloadReport &rep, const arch::GatingParams &p)
-    {
-        rep.params_ = p;
-    }
-
-    static void
-    setRun(WorkloadReport &rep,
-           std::shared_ptr<const WorkloadRun> run)
-    {
-        rep.run_ = std::move(run);
-    }
 };
 
 /**

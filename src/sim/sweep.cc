@@ -2,7 +2,9 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 
+#include "arch/npu_config.h"
 #include "common/error.h"
 
 namespace regate {
@@ -48,6 +50,33 @@ withProgress(Fn fn, const SweepProgress &progress,
             progress(++tick->done, total);
         }
         return result;
+    };
+}
+
+/**
+ * Wrap @p fn so a ConfigError it throws names the case it came from
+ * (scenario and generation): a spec can parse yet describe a
+ * scenario with no feasible setup, and the message must say which.
+ */
+template <typename Fn>
+auto
+namingCase(Fn fn)
+{
+    return [fn](const SweepCase &c) {
+        try {
+            return fn(c);
+        } catch (const ConfigError &e) {
+            static const std::string kPrefix = "config error: ";
+            std::string msg = e.what();
+            if (msg.compare(0, kPrefix.size(), kPrefix) == 0)
+                msg.erase(0, kPrefix.size());
+            throw ConfigError(detail::concat(
+                "scenario '",
+                c.scenario ? c.scenario->name
+                           : models::workloadName(c.workload),
+                "' on generation ", arch::generationName(c.gen), ": ",
+                msg));
+        }
     };
 }
 
@@ -102,8 +131,8 @@ scenarioCase(std::shared_ptr<const models::ScenarioSpec> spec,
     c.params = params;
     applyScenarioGating(&c.params, *spec);
     // A spec identical to a paper workload runs as that workload:
-    // the serialized case (and therefore any shard, merge, or golden
-    // comparison) is byte-identical to the enum-driven grid. Gating
+    // the case (and therefore any golden comparison) is
+    // byte-identical to the enum-driven grid. Gating
     // overrides ride in c.params either way.
     models::Workload w;
     if (models::builtinWorkloadOf(*spec, &w)) {
@@ -130,52 +159,26 @@ scenarioGrid(
     return grid;
 }
 
-ShardRange
-shardRange(std::size_t total, int index, int count)
-{
-    REGATE_CHECK(count >= 1, "shard count must be >= 1, got ", count);
-    REGATE_CHECK(index >= 0 && index < count, "shard index ", index,
-                 " out of range for ", count, " shards");
-    // Contiguous split with the remainder spread over the leading
-    // shards: floor arithmetic keeps the plan a pure function of
-    // (total, index, count), so every process computes the same plan.
-    auto i = static_cast<std::size_t>(index);
-    auto n = static_cast<std::size_t>(count);
-    ShardRange r;
-    r.begin = total * i / n;
-    r.end = total * (i + 1) / n;
-    return r;
-}
-
-std::vector<SweepCase>
-shardGrid(const std::vector<SweepCase> &cases, int index, int count)
-{
-    auto r = shardRange(cases.size(), index, count);
-    return std::vector<SweepCase>(
-        cases.begin() + static_cast<std::ptrdiff_t>(r.begin),
-        cases.begin() + static_cast<std::ptrdiff_t>(r.end));
-}
-
 std::vector<WorkloadReport>
 SweepRunner::run(const std::vector<SweepCase> &cases,
                  const SweepProgress &progress)
 {
+    auto runCase = namingCase(simulateCase);
     if (!progress)
-        return parallelMapOrdered(pool_, cases, simulateCase);
+        return parallelMapOrdered(pool_, cases, runCase);
     return parallelMapOrdered(
-        pool_, cases,
-        withProgress(simulateCase, progress, cases.size()));
+        pool_, cases, withProgress(runCase, progress, cases.size()));
 }
 
 std::vector<SloResult>
 SweepRunner::search(const std::vector<SweepCase> &cases,
                     const SweepProgress &progress)
 {
-    auto searchCase = [](const SweepCase &c) {
+    auto searchCase = namingCase([](const SweepCase &c) {
         if (c.scenario)
             return findBestSetup(c.scenario, c.gen, c.params);
         return findBestSetup(c.workload, c.gen, c.params);
-    };
+    });
     if (!progress)
         return parallelMapOrdered(pool_, cases, searchCase);
     return parallelMapOrdered(

@@ -3,7 +3,7 @@
  * Tests for the text workload-spec parser (models/spec.h): the
  * strict error matrix (every violation a named ConfigError carrying
  * the offending source:line), grid expansion, and the canonical
- * round-trip that anchors the fleet's spec digest.
+ * round-trip that anchors the spec digest.
  */
 
 #include <gtest/gtest.h>
@@ -218,7 +218,7 @@ TEST(SpecParser, CanonicalRoundTrip)
 
     // Reparsing the canonical dump yields identical scenarios, an
     // identical dump, and therefore an identical digest — textual
-    // variants of the same scenarios share one fleet identity.
+    // variants of the same scenarios share one identity.
     ASSERT_EQ(second.scenarios.size(), first.scenarios.size());
     for (std::size_t i = 0; i < first.scenarios.size(); ++i) {
         EXPECT_TRUE(first.scenarios[i]->sameScenario(

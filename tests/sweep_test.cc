@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <string>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "compiler/compiler.h"
@@ -42,6 +45,34 @@ TEST(ThreadPool, PropagatesExceptions)
     auto fut = pool.submit(
         []() -> int { throw ConfigError("boom"); });
     EXPECT_THROW(fut.get(), ConfigError);
+}
+
+TEST(ParallelMapOrdered, RethrowsTheFirstFailureAfterEveryTaskFinished)
+{
+    // Items 0 and 5 fail; the rest take a moment. The caller must see
+    // item 0's exception, and only once no task is left running.
+    ThreadPool pool(2);
+    std::vector<int> items;
+    for (int i = 0; i < 16; ++i)
+        items.push_back(i);
+    std::atomic<int> finished{0};
+    try {
+        parallelMapOrdered(pool, items, [&finished](int v) {
+            if (v == 0 || v == 5) {
+                ++finished;
+                throw ConfigError("item " + std::to_string(v));
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            ++finished;
+            return v;
+        });
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("item 0"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(finished.load(), 16);
+    }
 }
 
 TEST(ParallelMapOrdered, PreservesInputOrder)

@@ -5,23 +5,18 @@ observability report.
     report_html.py --out report.html \
         [--metrics metrics.json ...] \
         [--trace trace.json ...] \
-        [--postmortem run.postmortem.json ...] \
-        [--title "fig02 fleet sweep"]
+        [--title "fig02 sweep"]
 
-Inputs are what the fleet already writes: `--metrics-out` snapshots
-(obs::MetricsRegistry canonical JSON), `--trace-out` Chrome
-trace-event timelines (obs::TraceRecorder), and flight-recorder
-postmortem dumps (obs::FlightRecorder). The report embeds everything
-inline — no external scripts, stylesheets, or fonts — so it can be
-archived as a CI artifact and opened anywhere:
+Inputs are what the grid binaries write: `--metrics-out` snapshots
+(obs::MetricsRegistry canonical JSON) and `--trace-out` Chrome
+trace-event timelines (obs::TraceRecorder). The report embeds
+everything inline — no external scripts, stylesheets, or fonts — so
+it can be archived as a CI artifact and opened anywhere:
 
 - counter/gauge tables and histogram rows with the canonical
   p50/p95/p99 columns, plus pure-CSS bucket bar charts;
 - an SVG lane timeline per trace (one row per pid/tid lane, spans as
-  rectangles, instants as ticks), honoring explicit fleet lanes;
-- the retry/steal story: every shard.retry / shard.steal /
-  postmortem.dump / signal.* event across all inputs, in time order;
-- postmortem sections flagging the spans left open at the crash.
+  rectangles, instants as ticks), including the explicit sweep lane.
 """
 
 import argparse
@@ -107,42 +102,25 @@ SPAN_COLORS = ["#4e79a7", "#f28e2b", "#76b7b2", "#59a14f",
                "#edc948", "#b07aa1", "#ff9da7", "#9c755f"]
 
 
-def timeline_svg(path, events, postmortem=False):
+def timeline_svg(events):
     """SVG lane timeline: spans as rects, instants as ticks."""
-    spans, instants, open_spans = [], [], []
-    open_stack = {}
+    spans, instants = [], []
     for ev in events:
         lane = (ev.get("pid", 0), ev.get("tid", 0))
         ph = ev.get("ph")
         if ph == "X":
             spans.append((lane, ev["ts"], ev.get("dur", 0),
-                          ev["name"], False))
+                          ev["name"]))
         elif ph == "i":
             instants.append((lane, ev["ts"], ev["name"]))
-        elif ph == "B":
-            open_stack.setdefault((lane, ev["name"]), []).append(
-                ev["ts"])
-        elif ph == "E":
-            starts = open_stack.get((lane, ev["name"]))
-            if starts:
-                ts0 = starts.pop()
-                spans.append((lane, ts0, max(0, ev["ts"] - ts0),
-                              ev["name"], False))
     t_end = 0
-    for lane, ts, dur, name, _ in spans:
+    for lane, ts, dur, name in spans:
         t_end = max(t_end, ts + dur)
     for lane, ts, name in instants:
         t_end = max(t_end, ts)
-    # Spans still open at the crash render to the dump's horizon,
-    # hatched, so the frontier is visible at a glance.
-    for (lane, name), starts in sorted(open_stack.items()):
-        for ts in starts:
-            open_spans.append((lane, ts, name))
-            t_end = max(t_end, ts)
     if t_end == 0:
         t_end = 1
-    lanes = sorted({s[0] for s in spans} | {i[0] for i in instants} |
-                   {o[0] for o in open_spans})
+    lanes = sorted({s[0] for s in spans} | {i[0] for i in instants})
     lane_y = {lane: i for i, lane in enumerate(lanes)}
     height = len(lanes) * (LANE_H + LANE_PAD) + 24
 
@@ -159,7 +137,7 @@ def timeline_svg(path, events, postmortem=False):
         parts.append(
             f"<text x=4 y={y(lane) + LANE_H - 6} class=lane>"
             f"{esc(f'pid {lane[0]} / lane {lane[1]}')}</text>")
-    for lane, ts, dur, name, _ in sorted(spans):
+    for lane, ts, dur, name in sorted(spans):
         c = color.setdefault(name,
                              SPAN_COLORS[len(color) %
                                          len(SPAN_COLORS)])
@@ -169,13 +147,6 @@ def timeline_svg(path, events, postmortem=False):
             f"height={LANE_H - 8} fill='{c}'>"
             f"<title>{esc(f'{name} [{ts}us +{dur}us]')}</title>"
             f"</rect>")
-    for lane, ts, name in open_spans:
-        w = max(1.0, x(t_end) - x(ts))
-        parts.append(
-            f"<rect x={x(ts):.1f} y={y(lane)} width={w:.1f} "
-            f"height={LANE_H - 8} class=open>"
-            f"<title>{esc(f'{name} [open at crash, {ts}us…]')}"
-            f"</title></rect>")
     for lane, ts, name in sorted(instants):
         parts.append(
             f"<line x1={x(ts):.1f} y1={y(lane)} x2={x(ts):.1f} "
@@ -189,55 +160,13 @@ def timeline_svg(path, events, postmortem=False):
         f"<span class=key><span class=swatch "
         f"style='background:{c}'></span>{esc(name)}</span>"
         for name, c in sorted(color.items()))
-    if open_spans:
-        legend += ("<span class=key><span class='swatch open'>"
-                   "</span>open at crash</span>")
     return "".join(parts) + f"<div class=legend>{legend}</div>"
 
 
-def trace_section(path, events, postmortem=False):
-    kind = "Postmortem" if postmortem else "Trace"
-    out = [f"<h2>{kind} timeline — {esc(path)}</h2>",
+def trace_section(path, events):
+    out = [f"<h2>Trace timeline — {esc(path)}</h2>",
            f"<p class=dim>{len(events)} events</p>",
-           timeline_svg(path, events, postmortem)]
-    return "\n".join(out)
-
-
-# --------------------------- story section --------------------------
-
-STORY_NAMES = ("shard.retry", "shard.steal", "postmortem.dump",
-               "agent.assign")
-
-
-def story_section(sources):
-    """The retry/steal story: lifecycle markers across all inputs."""
-    rows = []
-    for path, events in sources:
-        for ev in events:
-            name = ev.get("name", "")
-            if name in STORY_NAMES or name.startswith("signal."):
-                detail = ""
-                args = ev.get("args")
-                if isinstance(args, dict):
-                    detail = " ".join(
-                        f"{k}={v}" for k, v in sorted(args.items()))
-                rows.append((ev.get("ts", 0), name, detail,
-                             Path(path).name))
-    if not rows:
-        return ("<h2>Retry / steal story</h2><p class=dim>No "
-                "retries, steals, or crashes recorded — a clean "
-                "sweep.</p>")
-    rows.sort()
-    out = ["<h2>Retry / steal story</h2>",
-           "<table><tr><th>ts (us)</th><th>event</th>"
-           "<th>detail</th><th>source</th></tr>"]
-    for ts, name, detail, src in rows:
-        cls = (" class=crash" if name.startswith("signal.")
-               or name == "postmortem.dump" else "")
-        out.append(f"<tr{cls}><td class=num>{ts}</td>"
-                   f"<td>{esc(name)}</td><td>{esc(detail)}</td>"
-                   f"<td>{esc(src)}</td></tr>")
-    out.append("</table>")
+           timeline_svg(events)]
     return "\n".join(out)
 
 
@@ -253,7 +182,6 @@ th, td { border: 1px solid #d0d4da; padding: .25em .6em;
          text-align: left; vertical-align: bottom; }
 th { background: #eef1f5; }
 td.num { text-align: right; font-variant-numeric: tabular-nums; }
-tr.crash td { background: #fde8e8; }
 .dim { color: #777; }
 .bars { display: inline-flex; align-items: flex-end; gap: 1px;
         height: 38px; }
@@ -265,13 +193,10 @@ svg .lane { font: 11px system-ui, sans-serif; fill: #555; }
 svg .axis { font: 10px system-ui, sans-serif; fill: #999; }
 svg .axis.end { text-anchor: end; }
 svg .tick { stroke: #c03; stroke-width: 1.5; }
-svg rect.open { fill: #c03; fill-opacity: .35;
-                stroke: #c03; stroke-dasharray: 3 2; }
 .legend { margin: .4em 0 1em; }
 .key { margin-right: 1.2em; font-size: 12px; }
 .swatch { display: inline-block; width: 10px; height: 10px;
           margin-right: .3em; }
-.swatch.open { background: #c03; opacity: .5; }
 """
 
 
@@ -281,33 +206,21 @@ def main():
                     help="--metrics-out snapshot (repeatable)")
     ap.add_argument("--trace", action="append", default=[],
                     help="--trace-out timeline (repeatable)")
-    ap.add_argument("--postmortem", action="append", default=[],
-                    help="flight-recorder dump (repeatable)")
     ap.add_argument("--out", required=True,
                     help="HTML file to write")
     ap.add_argument("--title", default="regate observability report")
     args = ap.parse_args()
-    if not (args.metrics or args.trace or args.postmortem):
-        ap.error("give at least one --metrics/--trace/--postmortem")
+    if not (args.metrics or args.trace):
+        ap.error("give at least one --metrics/--trace")
 
     sections = []
-    event_sources = []
     for path in args.metrics:
         sections.append(metrics_section(path, load_json(path)))
     for path in args.trace:
         events = load_json(path)
         if not isinstance(events, list):
             sys.exit(f"{path}: trace top level is not an array")
-        event_sources.append((path, events))
         sections.append(trace_section(path, events))
-    for path in args.postmortem:
-        events = load_json(path)
-        if not isinstance(events, list):
-            sys.exit(f"{path}: postmortem top level is not an array")
-        event_sources.append((path, events))
-        sections.append(trace_section(path, events,
-                                      postmortem=True))
-    sections.append(story_section(event_sources))
 
     body = "\n".join(sections)
     page = (f"<!doctype html>\n<html lang=en><head>"
@@ -318,8 +231,8 @@ def main():
             f"</body></html>\n")
     Path(args.out).write_text(page)
     print(f"{args.out}: {len(page)} bytes from "
-          f"{len(args.metrics)} metrics, {len(args.trace)} trace, "
-          f"{len(args.postmortem)} postmortem input(s)")
+          f"{len(args.metrics)} metrics and {len(args.trace)} trace "
+          f"input(s)")
     return 0
 
 
