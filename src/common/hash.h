@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared hash utilities for content-keyed caches. One definition of
- * the mixing recipe so every subsystem's keys (operator work hashes,
- * run setups, gating params, cache keys) stay consistent.
+ * FNV-1a content digests: one definition shared by the spec parser,
+ * the metrics snapshot footer and the Python tooling.
  */
 
 #ifndef REGATE_COMMON_HASH_H
@@ -10,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace regate {
@@ -51,21 +49,6 @@ hexDigest64(std::uint64_t h)
         h >>= 4;
     }
     return out;
-}
-
-/** boost::hash_combine-style mixing. */
-inline void
-hashCombine(std::size_t &seed, std::size_t v)
-{
-    seed ^= v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
-}
-
-/** Combine a value's std::hash into @p seed. */
-template <typename T>
-inline void
-hashField(std::size_t &seed, const T &v)
-{
-    hashCombine(seed, std::hash<T>{}(v));
 }
 
 }  // namespace regate

@@ -11,7 +11,8 @@
  * (models/spec.h) without recompiling anything.
  *
  * Identity: the `name` is display-only. Everything else — the
- * canonical `identityText()` — keys caches and builtin matching,
+ * canonical `identityText()` — drives scenario comparison and builtin
+ * matching,
  * so two specs that build the same graphs compare
  * equal no matter what their sections were called.
  */
@@ -67,16 +68,13 @@ struct ScenarioSpec
 
     /**
      * Canonical single-line spelling of every identity field (all
-     * but `name`). Keys the scenario-aware caches; equal text means
+     * but `name`). Equal text means
      * interchangeable scenarios.
      */
     std::string identityText() const;
 
     /** Identity comparison (name excluded). */
     bool sameScenario(const ScenarioSpec &o) const;
-
-    /** Content hash over identityText(). */
-    std::size_t contentHash() const;
 };
 
 }  // namespace models

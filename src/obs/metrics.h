@@ -1,9 +1,9 @@
 /**
  * @file
  * obs::MetricsRegistry — one process-wide, thread-safe registry of
- * named counters, gauges, and fixed-bucket histograms, replacing the
- * ad-hoc per-subsystem counters (cache hits/misses, run copies) with
- * a single introspection surface.
+ * named counters, gauges, and fixed-bucket histograms: a single
+ * introspection surface for the simulator's own counters (engine
+ * executions, pricings, operators).
  *
  * Design goals, in order:
  *
@@ -43,9 +43,9 @@
  * recording (not the instrument lookup) so a disabled build reduces
  * to nothing:
  *
- *     static auto &hits = obs::MetricsRegistry::instance()
- *                             .counter("sim.graph_cache.hits");
- *     REGATE_OBS(hits.add(1));
+ *     static auto &executions = obs::MetricsRegistry::instance()
+ *                                   .counter("sim.engine.executions");
+ *     REGATE_OBS(executions.add(1));
  */
 #ifdef REGATE_OBS_DISABLED
 #define REGATE_OBS(stmt) ((void)0)
@@ -197,7 +197,7 @@ class MetricsRegistry
 
     /**
      * Find-or-create by name. References remain valid forever.
-     * Names are dotted identifiers ("sim.graph_cache.hits");
+     * Names are dotted identifiers ("sim.engine.executions");
      * anything serializable is accepted.
      */
     Counter &counter(const std::string &name);

@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -89,83 +88,6 @@ OpRecordArena::seal()
     names_.shrink_to_fit();
 }
 
-std::size_t
-OpRecordArena::heapBytes() const
-{
-    std::size_t bytes =
-        nameId_.capacity() * sizeof(std::uint32_t) +
-        kind_.capacity() * sizeof(graph::OpKind) +
-        count_.capacity() * sizeof(std::uint64_t) +
-        duration_.capacity() * sizeof(Cycles) +
-        sramDemandBytes_.capacity() * sizeof(double) +
-        dynamicJ_.capacity() * sizeof(double) +
-        sramUsedFrac_.capacity() * sizeof(double) +
-        activeFrac_.capacity() * sizeof(double) +
-        names_.capacity() * sizeof(std::string);
-    for (const auto &n : names_)
-        bytes += n.capacity();
-    return bytes;
-}
-
-namespace {
-
-std::atomic<std::uint64_t> g_run_copies{0};
-
-/**
- * Registry mirror of the deep-copy count ("sim.run.copies"); the
- * local atomic stays authoritative for WorkloadRun::copies() so the
- * zero-copy tests are independent of registry state.
- */
-void
-countRunCopy()
-{
-    g_run_copies.fetch_add(1, std::memory_order_relaxed);
-    REGATE_OBS({
-        static obs::Counter &copies =
-            obs::MetricsRegistry::instance().counter(
-                "sim.run.copies");
-        copies.add(1);
-    });
-}
-
-}  // namespace
-
-WorkloadRun::WorkloadRun(const WorkloadRun &o)
-    : name(o.name), cycles(o.cycles), seconds(o.seconds),
-      timeline(o.timeline), work(o.work), saStats(o.saStats),
-      sramUsedIntegral(o.sramUsedIntegral), opRecords(o.opRecords),
-      policies(o.policies), opCacheHits(o.opCacheHits),
-      opCacheMisses(o.opCacheMisses)
-{
-    countRunCopy();
-}
-
-WorkloadRun &
-WorkloadRun::operator=(const WorkloadRun &o)
-{
-    if (this != &o) {
-        name = o.name;
-        cycles = o.cycles;
-        seconds = o.seconds;
-        timeline = o.timeline;
-        work = o.work;
-        saStats = o.saStats;
-        sramUsedIntegral = o.sramUsedIntegral;
-        opRecords = o.opRecords;
-        policies = o.policies;
-        opCacheHits = o.opCacheHits;
-        opCacheMisses = o.opCacheMisses;
-    }
-    countRunCopy();
-    return *this;
-}
-
-std::uint64_t
-WorkloadRun::copies()
-{
-    return g_run_copies.load(std::memory_order_relaxed);
-}
-
 const PolicyResult &
 WorkloadRun::result(Policy p) const
 {
@@ -191,101 +113,69 @@ Engine::Engine(const arch::NpuConfig &cfg,
 {
 }
 
-namespace {
-
-/** Usage window of one component inside a block. */
-struct Usage
-{
-    Cycles start;
-    Cycles end;
-    Component bottleneck;  ///< Bottleneck of the op that used it.
-};
-
-}  // namespace
-
 WorkloadRun
 Engine::run(const graph::OperatorGraph &graph, int pod_chips) const
+{
+    return price(execute(graph, pod_chips), params_);
+}
+
+Execution
+Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
 {
     graph.validate();
     ici::Torus torus = ici::Torus::forChips(cfg_, pod_chips);
     ici::CollectiveModel coll(cfg_, torus);
     OperatorSimulator op_sim(cfg_, coll);
 
-    WorkloadRun run;
+    Execution ex;
+    WorkloadRun &run = ex.run;
     run.name = graph.name;
-    std::array<Cycles, kNumPolicies> overheads{};
+    std::uint64_t ops = 0;
 
     for (const auto &block : graph.blocks) {
+        Execution::Block &eb = ex.blocks.emplace_back();
+        eb.repeat = block.repeat;
+        ops += block.ops.size();
         arch::ComponentMap<ActivityTimeline> block_tl;
         energy::WorkCounters block_work;
         sa::SaTileStats block_sa;
         double block_sram_integral = 0;
         Cycles block_dur = 0;
-        arch::ComponentMap<std::vector<Usage>> usage;
         std::uint64_t sram_resizes = 0;
         bool have_prev_used = false;
         std::uint64_t prev_used_bytes = 0;
-        Cycles base_vu_stalls = 0;
 
-        OpExecutionCache &cache =
-            external_cache_ ? *external_cache_ : own_cache_;
         for (const auto &op : block.ops) {
-            std::shared_ptr<const OpExecution> cached;
-            OpExecution fresh;
-            if (memoize_) {
-                cached = cache.lookup(pod_chips, op);
-                if (cached) {
-                    ++run.opCacheHits;
-                } else {
-                    cached =
-                        cache.store(pod_chips, op, op_sim.simulate(op));
-                    ++run.opCacheMisses;
-                }
-            } else {
-                fresh = op_sim.simulate(op);
-            }
-            const OpExecution &ex = cached ? *cached : fresh;
+            const OpExecution op_ex = op_sim.simulate(op);
 
-            // ReGate-Base cannot hide the per-burst VU wake-ups that
-            // drain SA output tiles (§6.4): with the idle-detection
-            // FSM gating the VU between bursts, a fraction of the
-            // 2-cycle wakes stalls the SA pipeline (the output queue
-            // absorbs the rest). ReGate-HW/Full pre-wake via the
-            // dataflow / setpm and expose nothing.
-            if (ex.active[Component::Sa] > 0 &&
-                ex.active[Component::Vu] > 0 &&
-                ex.bottleneck == Component::Sa) {
-                constexpr double kVuStallShare = 0.15;
-                double stalls =
-                    static_cast<double>(
-                        ex.timeline[Component::Vu].activations()) *
-                    static_cast<double>(
-                        params_.onOffDelay(GatedUnit::Vu)) *
-                    kVuStallShare;
-                base_vu_stalls += static_cast<Cycles>(stalls);
+            if (op_ex.active[Component::Sa] > 0 &&
+                op_ex.active[Component::Vu] > 0 &&
+                op_ex.bottleneck == Component::Sa) {
+                eb.saBoundVuActivations.push_back(
+                    op_ex.timeline[Component::Vu].activations());
             }
 
             for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
                            Component::Ici}) {
-                block_tl[c].append(ex.timeline[c]);
-                if (ex.active[c] > 0) {
-                    usage[c].push_back({block_dur,
-                                        block_dur + ex.active[c],
-                                        ex.bottleneck});
+                block_tl[c].append(op_ex.timeline[c]);
+                if (op_ex.active[c] > 0) {
+                    eb.uses[c].push_back({block_dur,
+                                          block_dur + op_ex.active[c],
+                                          op_ex.bottleneck});
                 }
             }
-            block_work += ex.work;
-            block_sa += ex.saStats;
+            block_work += op_ex.work;
+            block_sa += op_ex.saStats;
 
             double used_frac =
-                ex.sramUsedBytes / static_cast<double>(cfg_.sramBytes);
+                op_ex.sramUsedBytes / static_cast<double>(cfg_.sramBytes);
             block_sram_integral +=
-                static_cast<double>(ex.duration) * used_frac;
+                static_cast<double>(op_ex.duration) * used_frac;
             // Compare whole bytes: sramUsedBytes is a byte count that
             // happens to be carried in a double, and float equality
             // would flag resizes on sub-byte rounding noise.
             auto used_bytes =
-                static_cast<std::uint64_t>(ex.sramUsedBytes + 0.5);
+                static_cast<std::uint64_t>(op_ex.sramUsedBytes + 0.5);
             if (have_prev_used && used_bytes != prev_used_bytes)
                 ++sram_resizes;
             prev_used_bytes = used_bytes;
@@ -295,85 +185,17 @@ Engine::run(const graph::OperatorGraph &graph, int pod_chips) const
             rec.name = op.name;
             rec.kind = op.kind;
             rec.count = block.repeat;
-            rec.duration = ex.duration;
+            rec.duration = op_ex.duration;
             rec.sramDemandBytes = op.sramDemandBytes;
-            rec.dynamicJ = power_.dynamicEnergy(ex.work).sum();
+            rec.dynamicJ = power_.dynamicEnergy(op_ex.work).sum();
             rec.sramUsedFrac = used_frac;
             for (auto c : arch::kAllComponents)
-                rec.activeFrac[c] = ex.activeFraction(c);
+                rec.activeFrac[c] = op_ex.activeFraction(c);
             run.opRecords.append(rec);
 
-            block_dur += ex.duration;
+            block_dur += op_ex.duration;
         }
-
-        // Inter-use wake overhead per policy: count idle gaps (with
-        // wrap-around between block repeats) that the hardware
-        // idle-detection would have gated before the next use.
-        std::array<Cycles, kNumPolicies> block_ov{};
-        auto charge = [&](Policy p, Cycles d) {
-            block_ov[static_cast<std::size_t>(p)] += d;
-        };
-        charge(Policy::Base, base_vu_stalls);
-        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
-                       Component::Ici}) {
-            const auto &uses = usage[c];
-            if (uses.empty())
-                continue;
-            GatedUnit unit = c == Component::Sa ? GatedUnit::SaFull
-                             : c == Component::Vu ? GatedUnit::Vu
-                             : c == Component::Hbm ? GatedUnit::Hbm
-                                                   : GatedUnit::Ici;
-            Cycles window = params_.detectionWindow(unit);
-            for (std::size_t i = 0; i < uses.size(); ++i) {
-                Cycles gap =
-                    i == 0 ? block_dur - uses.back().end + uses[0].start
-                           : uses[i].start - uses[i - 1].end;
-                if (gap < window)
-                    continue;
-                bool is_bottleneck = uses[i].bottleneck == c;
-                switch (c) {
-                  case Component::Sa:
-                    // Base pays the full-SA wake; HW/Full overlap the
-                    // diagonal wake and expose one PE delay (§6.4).
-                    charge(Policy::Base,
-                           params_.onOffDelay(GatedUnit::SaFull));
-                    charge(Policy::HW,
-                           params_.onOffDelay(GatedUnit::SaPe));
-                    charge(Policy::Full,
-                           params_.onOffDelay(GatedUnit::SaPe));
-                    break;
-                  case Component::Vu:
-                    // Exposed only when the VU gates the op; Full
-                    // pre-wakes via setpm (§4.3).
-                    if (is_bottleneck) {
-                        charge(Policy::Base,
-                               params_.onOffDelay(GatedUnit::Vu));
-                        charge(Policy::HW,
-                               params_.onOffDelay(GatedUnit::Vu));
-                    }
-                    break;
-                  case Component::Hbm:
-                    if (is_bottleneck) {
-                        for (Policy p : {Policy::Base, Policy::HW,
-                                         Policy::Full}) {
-                            charge(p,
-                                   params_.onOffDelay(GatedUnit::Hbm));
-                        }
-                    }
-                    break;
-                  case Component::Ici:
-                    for (Policy p :
-                         {Policy::Base, Policy::HW, Policy::Full})
-                        charge(p, params_.onOffDelay(GatedUnit::Ici));
-                    break;
-                  default:
-                    break;
-                }
-            }
-        }
-
-        for (std::size_t p = 0; p < kNumPolicies; ++p)
-            overheads[p] += block_ov[p] * block.repeat;
+        eb.duration = block_dur;
 
         // Scale the block to its repeat count and append to the run.
         for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
@@ -389,28 +211,148 @@ Engine::run(const graph::OperatorGraph &graph, int pod_chips) const
         run.saStats += block_sa.scaled(block.repeat);
         run.sramUsedIntegral += block_sram_integral * rep;
         run.cycles += block_dur * block.repeat;
-
-        // SRAM resize setpm pairs (Full only; reported in Fig. 20).
-        run.policies[static_cast<std::size_t>(Policy::Full)]
-            .sramSetpmPairs += sram_resizes * block.repeat;
+        ex.sramResizes += sram_resizes * block.repeat;
     }
     run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
     run.opRecords.seal();
 
+    REGATE_OBS({
+        static obs::Counter &executions =
+            obs::MetricsRegistry::instance().counter(
+                "sim.engine.executions");
+        static obs::Counter &op_count =
+            obs::MetricsRegistry::instance().counter("sim.engine.ops");
+        executions.add(1);
+        op_count.add(ops);
+    });
+    return ex;
+}
+
+WorkloadRun
+Engine::price(const Execution &ex, const arch::GatingParams &params) const
+{
+    return priced(ex.run, ex, params);
+}
+
+WorkloadRun
+Engine::price(Execution &&ex, const arch::GatingParams &params) const
+{
+    return priced(std::move(ex.run), ex, params);
+}
+
+WorkloadRun
+Engine::priced(WorkloadRun run, const Execution &ex,
+               const arch::GatingParams &params) const
+{
+    std::array<Cycles, kNumPolicies> overheads{};
+    for (const auto &eb : ex.blocks) {
+        std::array<Cycles, kNumPolicies> block_ov{};
+        auto charge = [&](Policy p, Cycles d) {
+            block_ov[static_cast<std::size_t>(p)] += d;
+        };
+
+        // ReGate-Base cannot hide the per-burst VU wake-ups that
+        // drain SA output tiles (§6.4): with the idle-detection FSM
+        // gating the VU between bursts, a fraction of the 2-cycle
+        // wakes stalls the SA pipeline (the output queue absorbs the
+        // rest). ReGate-HW/Full pre-wake via the dataflow / setpm and
+        // expose nothing.
+        constexpr double kVuStallShare = 0.15;
+        for (std::uint64_t activations : eb.saBoundVuActivations) {
+            double stalls =
+                static_cast<double>(activations) *
+                static_cast<double>(params.onOffDelay(GatedUnit::Vu)) *
+                kVuStallShare;
+            charge(Policy::Base, static_cast<Cycles>(stalls));
+        }
+
+        // Inter-use wake overhead per policy: count idle gaps (with
+        // wrap-around between block repeats) that the hardware
+        // idle-detection would have gated before the next use.
+        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
+                       Component::Ici}) {
+            const auto &uses = eb.uses[c];
+            if (uses.empty())
+                continue;
+            GatedUnit unit = c == Component::Sa ? GatedUnit::SaFull
+                             : c == Component::Vu ? GatedUnit::Vu
+                             : c == Component::Hbm ? GatedUnit::Hbm
+                                                   : GatedUnit::Ici;
+            Cycles window = params.detectionWindow(unit);
+            for (std::size_t i = 0; i < uses.size(); ++i) {
+                Cycles gap =
+                    i == 0 ? eb.duration - uses.back().end + uses[0].start
+                           : uses[i].start - uses[i - 1].end;
+                if (gap < window)
+                    continue;
+                bool is_bottleneck = uses[i].bottleneck == c;
+                switch (c) {
+                  case Component::Sa:
+                    // Base pays the full-SA wake; HW/Full overlap the
+                    // diagonal wake and expose one PE delay (§6.4).
+                    charge(Policy::Base,
+                           params.onOffDelay(GatedUnit::SaFull));
+                    charge(Policy::HW, params.onOffDelay(GatedUnit::SaPe));
+                    charge(Policy::Full,
+                           params.onOffDelay(GatedUnit::SaPe));
+                    break;
+                  case Component::Vu:
+                    // Exposed only when the VU gates the op; Full
+                    // pre-wakes via setpm (§4.3).
+                    if (is_bottleneck) {
+                        charge(Policy::Base,
+                               params.onOffDelay(GatedUnit::Vu));
+                        charge(Policy::HW, params.onOffDelay(GatedUnit::Vu));
+                    }
+                    break;
+                  case Component::Hbm:
+                    if (is_bottleneck) {
+                        for (Policy p : {Policy::Base, Policy::HW,
+                                         Policy::Full}) {
+                            charge(p, params.onOffDelay(GatedUnit::Hbm));
+                        }
+                    }
+                    break;
+                  case Component::Ici:
+                    for (Policy p :
+                         {Policy::Base, Policy::HW, Policy::Full})
+                        charge(p, params.onOffDelay(GatedUnit::Ici));
+                    break;
+                  default:
+                    break;
+                }
+            }
+        }
+
+        for (std::size_t p = 0; p < kNumPolicies; ++p)
+            overheads[p] += block_ov[p] * eb.repeat;
+    }
+
+    // SRAM resize setpm pairs (Full only; reported in Fig. 20).
+    run.policies[static_cast<std::size_t>(Policy::Full)].sramSetpmPairs =
+        ex.sramResizes;
     for (auto p : allPolicies())
-        evaluatePolicy(run, p, overheads);
+        evaluatePolicy(run, p, params, overheads);
+
+    REGATE_OBS({
+        static obs::Counter &pricings =
+            obs::MetricsRegistry::instance().counter(
+                "sim.engine.pricings");
+        pricings.add(1);
+    });
     return run;
 }
 
 void
 Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
+                       const arch::GatingParams &params,
                        const std::array<Cycles, kNumPolicies>
                            &overheads) const
 {
     auto &res = run.policies[static_cast<std::size_t>(policy)];
     res.policy = policy;
     const double tau = cfg_.cycleTime();
-    const auto &ratios = params_.ratios();
+    const auto &ratios = params.ratios();
 
     auto modeFor = [&](Component c) -> GatingMode {
         if (policy == Policy::NoPG)
@@ -430,7 +372,7 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
                             power_.staticPower(Component::Sa), tau};
         auto r = core::evaluateTimeline(run.timeline[Component::Sa],
                                         spec, modeFor(Component::Sa),
-                                        params_);
+                                        params);
         double e_sa = r.staticEnergy;
         if (policy == Policy::HW || policy == Policy::Full ||
             policy == Policy::Ideal) {
@@ -463,7 +405,7 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
                             power_.staticPower(Component::Vu), tau};
         auto r = core::evaluateTimeline(run.timeline[Component::Vu],
                                         spec, modeFor(Component::Vu),
-                                        params_);
+                                        params);
         e.staticJ[Component::Vu] = r.staticEnergy;
         if (policy == Policy::Full)
             res.vuGateEvents = r.gateEvents;
@@ -475,7 +417,7 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
                             tau};
         auto r = core::evaluateTimeline(run.timeline[Component::Hbm],
                                         spec, modeFor(Component::Hbm),
-                                        params_);
+                                        params);
         e.staticJ[Component::Hbm] = r.staticEnergy;
     }
 
@@ -485,7 +427,7 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
                             tau};
         auto r = core::evaluateTimeline(run.timeline[Component::Ici],
                                         spec, modeFor(Component::Ici),
-                                        params_);
+                                        params);
         e.staticJ[Component::Ici] = r.staticEnergy;
     }
 

@@ -5,6 +5,14 @@
  * evaluates the five §6.1 designs — NoPG, ReGate-Base, ReGate-HW,
  * ReGate-Full, Ideal — on the same execution.
  *
+ * The work splits in two. Engine::execute derives everything the
+ * execution itself fixes (op latencies, timelines, idle intervals)
+ * and reads no gating parameter; Engine::price charges wake-up
+ * overheads and evaluates the policies under one GatingParams. The
+ * §6.5 sensitivity sweeps re-price one execution under new circuit
+ * parameters (Table 3 leakage ratios and delays) without re-running
+ * it.
+ *
  * Policy -> mechanism mapping (§4):
  *   component | NoPG | Base        | HW          | Full        | Ideal
  *   SA        | none | HwDetect    | HwDetect+PE | HwDetect+PE | Ideal+PE
@@ -65,8 +73,7 @@ struct OpRecord
  * (transformer blocks repeat the same few op names hundreds of
  * times). Figure loops touch one or two fields of every record, so
  * the arena is both cache-friendlier and far smaller than the
- * vector<OpRecord> it replaced — which also keeps the whole-run
- * memo's byte accounting honest (heapBytes()).
+ * vector<OpRecord> it replaced.
  *
  * append() takes the familiar OpRecord value; seal() drops the
  * build-time interner and trims capacity once a run is complete.
@@ -161,13 +168,6 @@ class OpRecordArena
     /** Distinct interned names (diagnostics/tests). */
     std::size_t nameCount() const { return names_.size(); }
 
-    /**
-     * Approximate heap footprint in bytes, from column and string
-     * capacities. Meaningful after seal() (the interner map is not
-     * charged; sealing empties it).
-     */
-    std::size_t heapBytes() const;
-
   private:
     std::vector<std::uint32_t> nameId_;
     std::vector<graph::OpKind> kind_;
@@ -199,13 +199,6 @@ struct PolicyResult
 /** One workload execution with all policies evaluated. */
 struct WorkloadRun
 {
-    WorkloadRun() = default;
-    WorkloadRun(WorkloadRun &&) = default;
-    WorkloadRun &operator=(WorkloadRun &&) = default;
-    /** Deep copy; counted process-wide (see copies()). */
-    WorkloadRun(const WorkloadRun &);
-    WorkloadRun &operator=(const WorkloadRun &);
-
     std::string name;
     Cycles cycles = 0;      ///< Base runtime (no gating overhead).
     double seconds = 0;
@@ -216,14 +209,9 @@ struct WorkloadRun
     OpRecordArena opRecords;
     std::array<PolicyResult, kNumPolicies> policies;
 
-    /**
-     * Operator-memoization counters for this run (diagnostics only).
-     * When simulateWorkload replays a run from the whole-run memo
-     * (sim/graph_cache.h), these describe the engine pass that
-     * originally produced the stored run, not the replaying call.
-     */
-    std::uint64_t opCacheHits = 0;
-    std::uint64_t opCacheMisses = 0;
+    /** Always 0; perfbench/layer_trace.cc is the only reader. */
+    static constexpr std::uint64_t opCacheHits = 0;
+    static constexpr std::uint64_t opCacheMisses = 0;
 
     const PolicyResult &result(Policy p) const;
 
@@ -235,15 +223,40 @@ struct WorkloadRun
 
     /** Fractional energy saving of @p p vs NoPG. */
     double savingVsNoPg(Policy p) const;
+};
 
-    /**
-     * Process-wide count of WorkloadRun deep copies since program
-     * start (monotonic, thread-safe). The zero-copy warm-hit
-     * guarantee — a memoized simulateWorkload replay performs no
-     * WorkloadRun copy at all — is pinned by tests and benches that
-     * sample this counter around cache replays.
-     */
-    static std::uint64_t copies();
+/** One use of a gated component inside a block. */
+struct UseWindow
+{
+    Cycles start = 0;
+    Cycles end = 0;
+    arch::Component bottleneck = arch::Component::Other;  ///< Of the op.
+};
+
+/**
+ * A compiled graph executed on one chip, before any gating parameter
+ * is applied: the run minus its policy table, plus per block what the
+ * wake-overhead charge needs. Engine::price turns it into a
+ * WorkloadRun under any GatingParams.
+ */
+struct Execution
+{
+    struct Block
+    {
+        std::uint64_t repeat = 1;
+        Cycles duration = 0;  ///< One instance, cycles.
+        /** SA/VU/HBM/ICI use windows, in op order. */
+        arch::ComponentMap<std::vector<UseWindow>> uses;
+        /**
+         * VU activations of each SA-bound op that also uses the VU:
+         * the output-drain wakes ReGate-Base cannot hide (§6.4).
+         */
+        std::vector<std::uint64_t> saBoundVuActivations;
+    };
+
+    WorkloadRun run;  ///< Policy table left default.
+    std::vector<Block> blocks;
+    std::uint64_t sramResizes = 0;  ///< Whole run; Full's setpm pairs.
 };
 
 /** The engine. */
@@ -254,66 +267,50 @@ class Engine
            const arch::GatingParams &params = {});
 
     /**
-     * Run a compiled graph on one chip of a @p pod_chips pod.
+     * Run a compiled graph on one chip of a @p pod_chips pod under
+     * the engine's params: price(execute(graph, pod_chips), params()).
      * @p graph must already be compiled (fusion + tiling annotations).
      */
     WorkloadRun run(const graph::OperatorGraph &graph,
                     int pod_chips) const;
 
     /**
-     * Enable/disable operator memoization (default on). Cached and
-     * uncached runs produce bitwise-identical results; the switch
-     * exists for benchmarking and equivalence tests.
+     * Simulate every operator and compose the run's timelines, op
+     * records, work and SA stats. Reads no gating parameter.
      */
-    void setMemoization(bool on) { memoize_ = on; }
-    bool memoizationEnabled() const { return memoize_; }
+    Execution execute(const graph::OperatorGraph &graph,
+                      int pod_chips) const;
 
     /**
-     * Share an external operator cache (e.g. the per-generation cache
-     * simulateWorkload keeps) instead of the engine's own. The cache
-     * must outlive the engine and must only be shared between engines
-     * built for the same chip generation; pass nullptr to revert.
+     * Charge the wake-up overheads and evaluate the five policies of
+     * @p ex under @p params. The rvalue form moves the run out of
+     * @p ex instead of copying it.
      */
-    void setOpCache(OpExecutionCache *cache) { external_cache_ = cache; }
+    WorkloadRun price(const Execution &ex,
+                      const arch::GatingParams &params) const;
+    WorkloadRun price(Execution &&ex,
+                      const arch::GatingParams &params) const;
 
-    /** The active operator cache (persists across run() calls). */
-    const OpExecutionCache &
-    opCache() const
-    {
-        return external_cache_ ? *external_cache_ : own_cache_;
-    }
-
-    /**
-     * Drop every memoized operator result in the active cache (the
-     * shared one if setOpCache was used). For callers that want the
-     * next run() to be a genuinely cold re-simulation; correctness
-     * never requires it. Process-wide caches (the compiled-graph
-     * cache, other generations' op caches) are cleared with
-     * sim::clearSharedCaches() in sim/report.h.
-     */
-    void
-    clearCaches()
-    {
-        (external_cache_ ? *external_cache_ : own_cache_).clear();
-    }
+    /** No-op; perfbench/layer_trace.cc is the only caller. */
+    void setMemoization(bool) {}
 
     const energy::PowerModel &powerModel() const { return power_; }
     const arch::GatingParams &params() const { return params_; }
     const arch::NpuConfig &config() const { return cfg_; }
 
   private:
-    struct BlockOutcome;
+    /** price() on a run already taken from @p ex (copied or moved). */
+    WorkloadRun priced(WorkloadRun run, const Execution &ex,
+                       const arch::GatingParams &params) const;
 
     void evaluatePolicy(WorkloadRun &run, Policy policy,
+                        const arch::GatingParams &params,
                         const std::array<Cycles, kNumPolicies>
                             &overheads) const;
 
     const arch::NpuConfig &cfg_;
     arch::GatingParams params_;
     energy::PowerModel power_;
-    bool memoize_ = true;
-    OpExecutionCache *external_cache_ = nullptr;
-    mutable OpExecutionCache own_cache_;
 };
 
 }  // namespace sim

@@ -1,10 +1,11 @@
 #include "sim/report.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "compiler/compiler.h"
 #include "models/registry.h"
 #include "obs/trace.h"
-#include "sim/graph_cache.h"
 
 namespace regate {
 namespace sim {
@@ -100,214 +101,117 @@ WorkloadReport::config() const
     return arch::npuConfig(gen);
 }
 
-void
-clearSharedCaches()
+WorkloadReport
+WorkloadReport::withRun(const WorkloadReport &identity, WorkloadRun run,
+                        const arch::GatingParams &params)
 {
-    sharedRunCache().clear();
-    sharedGraphCache().clear();
-    for (auto gen : arch::allGenerations())
-        sharedOpCache(gen).clear();
-}
-
-OpExecutionCache &
-sharedOpCache(arch::NpuGeneration gen)
-{
-    // One process-wide cache per chip generation: an operator's
-    // execution depends only on (generation, pod size, op shape), and
-    // pod size is part of the cache key, so every simulateWorkload
-    // call — SLO searches, figure sweeps, parallel sweep workers —
-    // reuses the same memoized results. The cache is thread-safe.
-    static std::array<OpExecutionCache, arch::kNumGenerations> caches;
-    return caches[static_cast<std::size_t>(gen)];
+    WorkloadReport rep = identity;
+    rep.run_ = std::make_shared<const WorkloadRun>(std::move(run));
+    rep.params_ = params;
+    return rep;
 }
 
 namespace {
 
 /**
- * Trace hook for the whole-run memo: a warm hit renders as an
- * instant, a miss as nothing here (the build/compile/engine spans
- * below show where the time went instead).
+ * Build @p identity's graph with @p build (given the setup), compile
+ * it for the generation, and execute it.
  */
-void
-traceRunCacheHit()
+template <typename Build>
+ExecutedCase
+executeCase(WorkloadReport identity, Build &&build)
 {
-    auto &trace = obs::TraceRecorder::instance();
-    if (trace.enabled())
-        trace.instant("run_cache.hit", "sim");
+    const auto &cfg = arch::npuConfig(identity.gen);
+    compiler::CompileResult compiled;
+    {
+        obs::TraceRecorder::Span span("graph.build_compile", "sim");
+        compiled = compiler::compileGraph(build(identity.setup), cfg);
+    }
+    obs::TraceRecorder::Span span("engine.execute", "sim");
+    Execution ex = Engine(cfg).execute(compiled.graph,
+                                       identity.setup.chips);
+    return {std::move(identity), std::move(ex)};
 }
 
-/**
- * Fill @p rep's identity, setup and units for @p workload on @p gen,
- * and return the simulated run for the caller to attach.
- */
-std::shared_ptr<const WorkloadRun>
-simulateImpl(WorkloadReport &rep, models::Workload workload,
-             arch::NpuGeneration gen, const arch::GatingParams &params,
-             const models::RunSetup *setup_override, bool memoize)
+/** Engine::price for @p ex's generation, traced. */
+template <typename Exec>
+WorkloadRun
+priceExecution(const WorkloadReport &identity, Exec &&ex,
+               const arch::GatingParams &params)
 {
-    rep.workload = workload;
-    rep.gen = gen;
-    rep.setup = setup_override ? *setup_override
-                               : models::defaultSetup(workload, gen);
-
-    const auto &cfg = arch::npuConfig(gen);
-
-    // Warmest path: this exact (workload, setup, generation, params)
-    // point has been simulated before — alias the memoized run (a
-    // shared_ptr bump, zero WorkloadRun copies) without building,
-    // compiling, or running the engine.
-    if (memoize) {
-        auto cached = sharedRunCache().lookup(workload, rep.setup,
-                                              gen, params);
-        if (cached) {
-            traceRunCacheHit();
-            rep.units = models::unitsPerRun(workload, rep.setup);
-            return cached;
-        }
-    }
-
-    // Warm path: reuse the memoized build + compile for this
-    // (workload, setup, generation). Cold path (or memoization off):
-    // build and compile from scratch. compileGraph's TilingOptions are
-    // defaulted here, so the three key fields cover every input.
-    auto buildCompile = [&] {
-        obs::TraceRecorder::Span span("graph.build_compile", "sim");
-        return compiler::compileGraph(
-            models::buildGraph(workload, rep.setup), cfg);
-    };
-    std::shared_ptr<const compiler::CompileResult> compiled;
-    if (memoize) {
-        compiled = sharedGraphCache().lookup(workload, rep.setup, gen);
-        if (!compiled) {
-            compiled = sharedGraphCache().store(
-                workload, rep.setup, gen, buildCompile());
-        }
-    } else {
-        compiled = std::make_shared<const compiler::CompileResult>(
-            buildCompile());
-    }
-
-    Engine engine(cfg, params);
-    auto runEngine = [&] {
-        obs::TraceRecorder::Span span("engine.run", "sim");
-        return engine.run(compiled->graph, rep.setup.chips);
-    };
-    std::shared_ptr<const WorkloadRun> run;
-    if (memoize) {
-        engine.setOpCache(&sharedOpCache(gen));
-        // Move the fresh run into the memo and alias its canonical
-        // entry: the report shares the cached run instead of owning
-        // a private deep copy.
-        run = sharedRunCache().store(workload, rep.setup, gen, params,
-                                     runEngine());
-    } else {
-        // The uncached path must leave every shared cache untouched
-        // (fig16 validates the memo against it), so the run is owned
-        // privately, never routed through sharedRunCache().
-        engine.setMemoization(false);
-        run = std::make_shared<const WorkloadRun>(runEngine());
-    }
-    rep.units = models::unitsPerRun(workload, rep.setup);
-    return run;
-}
-
-/**
- * simulateImpl for a registry-driven scenario. Same cache discipline
- * — the keys carry the scenario's identity text instead of the enum,
- * so enum points and scenario points live side by side in the shared
- * memos without collisions.
- */
-std::shared_ptr<const WorkloadRun>
-scenarioImpl(WorkloadReport &rep,
-             std::shared_ptr<const models::ScenarioSpec> spec,
-             arch::NpuGeneration gen,
-             const arch::GatingParams &params,
-             const models::RunSetup *setup_override, bool memoize)
-{
-    REGATE_CHECK(spec, "null scenario spec");
-    rep.scenario = std::move(spec);
-    rep.gen = gen;
-    rep.setup = setup_override
-                    ? *setup_override
-                    : models::defaultScenarioSetup(*rep.scenario, gen);
-
-    const auto &cfg = arch::npuConfig(gen);
-    GraphKey graph_key{models::Workload{}, gen, rep.setup,
-                       rep.scenario->identityText()};
-
-    if (memoize) {
-        auto cached =
-            sharedRunCache().lookup(RunKey{graph_key, params});
-        if (cached) {
-            traceRunCacheHit();
-            rep.units = models::scenarioUnitsPerRun(*rep.scenario,
-                                                    rep.setup);
-            return cached;
-        }
-    }
-
-    auto buildCompile = [&] {
-        obs::TraceRecorder::Span span("graph.build_compile", "sim");
-        return compiler::compileGraph(
-            models::buildScenarioGraph(*rep.scenario, rep.setup),
-            cfg);
-    };
-    std::shared_ptr<const compiler::CompileResult> compiled;
-    if (memoize) {
-        compiled = sharedGraphCache().lookup(graph_key);
-        if (!compiled) {
-            compiled =
-                sharedGraphCache().store(graph_key, buildCompile());
-        }
-    } else {
-        compiled = std::make_shared<const compiler::CompileResult>(
-            buildCompile());
-    }
-
-    Engine engine(cfg, params);
-    auto runEngine = [&] {
-        obs::TraceRecorder::Span span("engine.run", "sim");
-        return engine.run(compiled->graph, rep.setup.chips);
-    };
-    std::shared_ptr<const WorkloadRun> run;
-    if (memoize) {
-        engine.setOpCache(&sharedOpCache(gen));
-        run = sharedRunCache().store(RunKey{graph_key, params},
-                                     runEngine());
-    } else {
-        engine.setMemoization(false);
-        run = std::make_shared<const WorkloadRun>(runEngine());
-    }
-    rep.units =
-        models::scenarioUnitsPerRun(*rep.scenario, rep.setup);
-    return run;
+    obs::TraceRecorder::Span span("engine.price", "sim");
+    return Engine(arch::npuConfig(identity.gen))
+        .price(std::forward<Exec>(ex), params);
 }
 
 }  // namespace
+
+ExecutedCase
+executeWorkload(models::Workload workload, arch::NpuGeneration gen,
+                const models::RunSetup *setup_override)
+{
+    WorkloadReport identity;
+    identity.workload = workload;
+    identity.gen = gen;
+    identity.setup = setup_override ? *setup_override
+                                    : models::defaultSetup(workload, gen);
+    auto ex = executeCase(std::move(identity),
+                          [workload](const models::RunSetup &setup) {
+                              return models::buildGraph(workload, setup);
+                          });
+    ex.identity.units =
+        models::unitsPerRun(workload, ex.identity.setup);
+    return ex;
+}
+
+ExecutedCase
+executeScenario(std::shared_ptr<const models::ScenarioSpec> spec,
+                arch::NpuGeneration gen,
+                const models::RunSetup *setup_override)
+{
+    REGATE_CHECK(spec, "null scenario spec");
+    WorkloadReport identity;
+    identity.scenario = std::move(spec);
+    identity.gen = gen;
+    identity.setup =
+        setup_override
+            ? *setup_override
+            : models::defaultScenarioSetup(*identity.scenario, gen);
+    const auto &scenario = *identity.scenario;
+    auto ex = executeCase(std::move(identity),
+                          [&scenario](const models::RunSetup &setup) {
+                              return models::buildScenarioGraph(scenario,
+                                                                setup);
+                          });
+    ex.identity.units =
+        models::scenarioUnitsPerRun(scenario, ex.identity.setup);
+    return ex;
+}
+
+WorkloadReport
+priceReport(const ExecutedCase &ex, const arch::GatingParams &params)
+{
+    return WorkloadReport::withRun(
+        ex.identity, priceExecution(ex.identity, ex.execution, params),
+        params);
+}
+
+WorkloadReport
+priceReport(ExecutedCase &&ex, const arch::GatingParams &params)
+{
+    return WorkloadReport::withRun(
+        ex.identity,
+        priceExecution(ex.identity, std::move(ex.execution), params),
+        params);
+}
 
 WorkloadReport
 simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
                  const arch::GatingParams &params,
                  const models::RunSetup *setup_override)
 {
-    WorkloadReport rep;
-    rep.run_ =
-        simulateImpl(rep, workload, gen, params, setup_override, true);
-    rep.params_ = params;
-    return rep;
-}
-
-WorkloadReport
-simulateWorkloadUncached(models::Workload workload,
-                         arch::NpuGeneration gen,
-                         const arch::GatingParams &params,
-                         const models::RunSetup *setup_override)
-{
-    WorkloadReport rep;
-    rep.run_ =
-        simulateImpl(rep, workload, gen, params, setup_override, false);
-    rep.params_ = params;
-    return rep;
+    return priceReport(executeWorkload(workload, gen, setup_override),
+                       params);
 }
 
 WorkloadReport
@@ -316,24 +220,8 @@ simulateScenario(std::shared_ptr<const models::ScenarioSpec> spec,
                  const arch::GatingParams &params,
                  const models::RunSetup *setup_override)
 {
-    WorkloadReport rep;
-    rep.run_ = scenarioImpl(rep, std::move(spec), gen, params,
-                            setup_override, true);
-    rep.params_ = params;
-    return rep;
-}
-
-WorkloadReport
-simulateScenarioUncached(
-    std::shared_ptr<const models::ScenarioSpec> spec,
-    arch::NpuGeneration gen, const arch::GatingParams &params,
-    const models::RunSetup *setup_override)
-{
-    WorkloadReport rep;
-    rep.run_ = scenarioImpl(rep, std::move(spec), gen, params,
-                            setup_override, false);
-    rep.params_ = params;
-    return rep;
+    return priceReport(
+        executeScenario(std::move(spec), gen, setup_override), params);
 }
 
 }  // namespace sim

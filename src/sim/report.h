@@ -27,6 +27,8 @@ struct FleetParams
     double pue = 1.1;        ///< Power usage efficiency.
 };
 
+struct ExecutedCase;
+
 /** One simulated workload on one generation. */
 struct WorkloadReport
 {
@@ -45,26 +47,11 @@ struct WorkloadReport
     std::shared_ptr<const models::ScenarioSpec> scenario;
 
     /**
-     * The simulated run. Reports hold their run by shared_ptr and
-     * alias the immutable entry in the whole-run memo when the
-     * simulation was a cache replay, so a warm simulateWorkload hit
-     * — and every subsequent WorkloadReport copy — is a pointer
-     * bump, never a deep copy of opRecords/timelines. A
-     * default-constructed report reads as an empty run.
+     * The simulated run, held by shared_ptr so copying a report (SLO
+     * searches keep their winner) never deep-copies op records or
+     * timelines. A default-constructed report reads as an empty run.
      */
     const WorkloadRun &run() const;
-
-    /**
-     * Shared handle to the run (null only on a default-constructed
-     * report). Copying it shares, never deep-copies; tests use it to
-     * assert warm hits alias the memoized entry, and long-lived
-     * callers can keep the run alive past the report.
-     */
-    const std::shared_ptr<const WorkloadRun> &
-    runShared() const
-    {
-        return run_;
-    }
 
     /** Busy energy per run across the whole pod, joules. */
     double podBusyEnergy(Policy p) const;
@@ -93,28 +80,63 @@ struct WorkloadReport
     const arch::GatingParams &gatingParams() const { return params_; }
 
   private:
-    friend WorkloadReport simulateWorkload(models::Workload,
-                                           arch::NpuGeneration,
-                                           const arch::GatingParams &,
-                                           const models::RunSetup *);
-    friend WorkloadReport simulateWorkloadUncached(
-        models::Workload, arch::NpuGeneration,
-        const arch::GatingParams &, const models::RunSetup *);
-    friend WorkloadReport simulateScenario(
-        std::shared_ptr<const models::ScenarioSpec>,
-        arch::NpuGeneration, const arch::GatingParams &,
-        const models::RunSetup *);
-    friend WorkloadReport simulateScenarioUncached(
-        std::shared_ptr<const models::ScenarioSpec>,
-        arch::NpuGeneration, const arch::GatingParams &,
-        const models::RunSetup *);
+    friend WorkloadReport priceReport(const ExecutedCase &,
+                                      const arch::GatingParams &);
+    friend WorkloadReport priceReport(ExecutedCase &&,
+                                      const arch::GatingParams &);
+    /** @p identity carrying @p run and the @p params it was priced
+     *  under. */
+    static WorkloadReport withRun(const WorkloadReport &identity,
+                                  WorkloadRun run,
+                                  const arch::GatingParams &params);
     std::shared_ptr<const WorkloadRun> run_;
     arch::GatingParams params_;
 };
 
 /**
- * Build, compile, and simulate @p workload on @p gen. Uses
- * defaultSetup unless @p setup_override is given.
+ * One case built, compiled and executed once: the report's identity
+ * (workload or scenario, generation, setup, units; its run() reads
+ * empty) plus the engine's Execution. priceReport turns it into a
+ * full report under any gating params, so a sweep over gating points
+ * pays for one execution.
+ */
+struct ExecutedCase
+{
+    WorkloadReport identity;
+    Execution execution;
+};
+
+/**
+ * Build, compile and execute @p workload on @p gen, with defaultSetup
+ * unless @p setup_override is given.
+ */
+ExecutedCase executeWorkload(models::Workload workload,
+                             arch::NpuGeneration gen,
+                             const models::RunSetup *setup_override =
+                                 nullptr);
+
+/**
+ * executeWorkload for a registry-driven custom scenario, with
+ * defaultScenarioSetup unless @p setup_override is given. @p spec
+ * must be a validated spec (parseSpecText/validateScenario have run).
+ */
+ExecutedCase executeScenario(
+    std::shared_ptr<const models::ScenarioSpec> spec,
+    arch::NpuGeneration gen,
+    const models::RunSetup *setup_override = nullptr);
+
+/**
+ * The report of @p ex under @p params (Engine::price). The rvalue
+ * form moves the execution's run instead of copying it.
+ */
+WorkloadReport priceReport(const ExecutedCase &ex,
+                           const arch::GatingParams &params);
+WorkloadReport priceReport(ExecutedCase &&ex,
+                           const arch::GatingParams &params);
+
+/**
+ * Build, compile, and simulate @p workload on @p gen:
+ * priceReport(executeWorkload(...), params).
  */
 WorkloadReport simulateWorkload(models::Workload workload,
                                 arch::NpuGeneration gen,
@@ -122,33 +144,8 @@ WorkloadReport simulateWorkload(models::Workload workload,
                                 const models::RunSetup *setup_override =
                                     nullptr);
 
-/**
- * simulateWorkload with all memoization disabled — no shared operator
- * cache and no compiled-graph cache, so the graph is rebuilt,
- * recompiled, and resimulated from scratch. A genuinely independent
- * re-simulation, used by the fig16 validation to check the memoized
- * path against a from-scratch run.
- */
-WorkloadReport simulateWorkloadUncached(
-    models::Workload workload, arch::NpuGeneration gen,
-    const arch::GatingParams &params = {},
-    const models::RunSetup *setup_override = nullptr);
-
-/**
- * simulateWorkload for a registry-driven custom scenario: build,
- * compile, and simulate @p spec on @p gen, with defaultScenarioSetup
- * unless @p setup_override is given. Uses the same shared memo caches
- * as the enum path, keyed by the scenario's identity text, so paper
- * workloads and custom scenarios never collide. @p spec must be a
- * validated spec (parseSpecText/validateScenario have run).
- */
+/** simulateWorkload for a registry-driven custom scenario. */
 WorkloadReport simulateScenario(
-    std::shared_ptr<const models::ScenarioSpec> spec,
-    arch::NpuGeneration gen, const arch::GatingParams &params = {},
-    const models::RunSetup *setup_override = nullptr);
-
-/** simulateScenario with all memoization disabled (see above). */
-WorkloadReport simulateScenarioUncached(
     std::shared_ptr<const models::ScenarioSpec> spec,
     arch::NpuGeneration gen, const arch::GatingParams &params = {},
     const models::RunSetup *setup_override = nullptr);
@@ -156,22 +153,6 @@ WorkloadReport simulateScenarioUncached(
 /** Idle power of a jobless chip under a policy (used by Fig. 24). */
 double idleStaticPower(const energy::PowerModel &power,
                        const arch::GatingParams &params, Policy policy);
-
-/**
- * The process-wide operator-memoization cache for @p gen, shared by
- * every simulateWorkload call (and safe to share across sweep
- * workers).
- */
-OpExecutionCache &sharedOpCache(arch::NpuGeneration gen);
-
-/**
- * Drop every process-wide memoized result: the whole-run memo and
- * compiled-graph cache (sim/graph_cache.h) and the per-generation
- * operator caches. For benches/tests that need a genuinely cold
- * re-simulation; correctness never requires it (entries are immutable
- * and keyed by full content).
- */
-void clearSharedCaches();
 
 }  // namespace sim
 }  // namespace regate

@@ -3,6 +3,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "arch/npu_config.h"
 #include "common/error.h"
@@ -12,72 +13,144 @@ namespace sim {
 
 namespace {
 
-WorkloadReport
-simulateCase(const SweepCase &c)
-{
-    if (c.scenario)
-        return simulateScenario(c.scenario, c.gen, c.params,
-                                c.hasSetup ? &c.setup : nullptr);
-    return simulateWorkload(c.workload, c.gen, c.params,
-                            c.hasSetup ? &c.setup : nullptr);
-}
-
 /**
- * Wrap @p fn so every completion ticks the progress callback with a
- * monotonically increasing done count. The count advances and the
- * callback runs under one lock, so invocations are serialized and
- * the done counts the callback observes are strictly in order —
- * never "2/n before 1/n" even when two pool threads finish
- * back-to-back. Results (and therefore outputs) stay input-ordered
- * and bitwise identical; only the callback runs in completion
- * order.
- */
-template <typename Fn>
-auto
-withProgress(Fn fn, const SweepProgress &progress,
-             std::size_t total)
-{
-    struct Tick
-    {
-        std::mutex mutex;
-        std::size_t done = 0;
-    };
-    auto tick = std::make_shared<Tick>();
-    return [fn, progress, tick, total](const SweepCase &c) {
-        auto result = fn(c);
-        {
-            std::lock_guard<std::mutex> lock(tick->mutex);
-            progress(++tick->done, total);
-        }
-        return result;
-    };
-}
-
-/**
- * Wrap @p fn so a ConfigError it throws names the case it came from
+ * Run @p fn for case @p c so a ConfigError it throws names the case
  * (scenario and generation): a spec can parse yet describe a
  * scenario with no feasible setup, and the message must say which.
  */
 template <typename Fn>
 auto
-namingCase(Fn fn)
+namingCase(const SweepCase &c, Fn &&fn)
 {
-    return [fn](const SweepCase &c) {
-        try {
-            return fn(c);
-        } catch (const ConfigError &e) {
-            static const std::string kPrefix = "config error: ";
-            std::string msg = e.what();
-            if (msg.compare(0, kPrefix.size(), kPrefix) == 0)
-                msg.erase(0, kPrefix.size());
-            throw ConfigError(detail::concat(
-                "scenario '",
-                c.scenario ? c.scenario->name
-                           : models::workloadName(c.workload),
-                "' on generation ", arch::generationName(c.gen), ": ",
-                msg));
-        }
-    };
+    try {
+        return fn();
+    } catch (const ConfigError &e) {
+        static const std::string kPrefix = "config error: ";
+        std::string msg = e.what();
+        if (msg.compare(0, kPrefix.size(), kPrefix) == 0)
+            msg.erase(0, kPrefix.size());
+        throw ConfigError(detail::concat(
+            "scenario '",
+            c.scenario ? c.scenario->name
+                       : models::workloadName(c.workload),
+            "' on generation ", arch::generationName(c.gen), ": ",
+            msg));
+    }
+}
+
+/**
+ * Completion ticks for run()/search(). The count advances and the
+ * callback runs under one lock, so invocations are serialized and
+ * the done counts the callback observes are strictly in order —
+ * never "2/n before 1/n" even when two pool threads finish
+ * back-to-back.
+ */
+class ProgressTicker
+{
+  public:
+    ProgressTicker(SweepProgress progress, std::size_t total)
+        : progress_(std::move(progress)), total_(total)
+    {}
+
+    void
+    operator()()
+    {
+        if (!progress_)
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        progress_(++done_, total_);
+    }
+
+  private:
+    SweepProgress progress_;
+    std::size_t total_;
+    std::mutex mutex_;
+    std::size_t done_ = 0;
+};
+
+/**
+ * Do @p a and @p b run the same execution: same scenario (or paper
+ * workload), generation and setup? They may differ in params only.
+ */
+bool
+sameExecution(const SweepCase &a, const SweepCase &b)
+{
+    if (a.scenario != b.scenario || a.gen != b.gen ||
+        a.hasSetup != b.hasSetup)
+        return false;
+    if (!a.scenario && a.workload != b.workload)
+        return false;
+    return !a.hasSetup || a.setup == b.setup;
+}
+
+/** Cases [begin, end) of a grid that share one execution. */
+struct CaseGroup
+{
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/**
+ * Split @p cases into maximal runs of adjacent cases that share one
+ * execution. Only neighbours are compared and nothing is kept
+ * between sweeps, so grid order decides what is shared.
+ */
+std::vector<CaseGroup>
+groupCases(const std::vector<SweepCase> &cases)
+{
+    std::vector<CaseGroup> groups;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        if (!groups.empty() &&
+            sameExecution(cases[groups.back().begin], cases[i]))
+            groups.back().end = i + 1;
+        else
+            groups.push_back({i, i + 1});
+    }
+    return groups;
+}
+
+ExecutedCase
+executeCase(const SweepCase &c)
+{
+    const auto *setup = c.hasSetup ? &c.setup : nullptr;
+    if (c.scenario)
+        return executeScenario(c.scenario, c.gen, setup);
+    return executeWorkload(c.workload, c.gen, setup);
+}
+
+/**
+ * One group: build, compile and execute once, then price each case
+ * (the last one consumes the execution). @p tick runs after each.
+ */
+std::vector<WorkloadReport>
+runGroup(const std::vector<SweepCase> &cases, CaseGroup g,
+         ProgressTicker &tick)
+{
+    ExecutedCase ex = namingCase(cases[g.begin],
+                                 [&] { return executeCase(cases[g.begin]); });
+    std::vector<WorkloadReport> out;
+    out.reserve(g.end - g.begin);
+    for (std::size_t i = g.begin; i < g.end; ++i) {
+        const auto &params = cases[i].params;
+        out.push_back(namingCase(cases[i], [&] {
+            return i + 1 < g.end ? priceReport(ex, params)
+                                 : priceReport(std::move(ex), params);
+        }));
+        tick();
+    }
+    return out;
+}
+
+/** Groups' reports, concatenated in grid order. */
+std::vector<WorkloadReport>
+flatten(std::vector<std::vector<WorkloadReport>> parts, std::size_t n)
+{
+    std::vector<WorkloadReport> out;
+    out.reserve(n);
+    for (auto &part : parts)
+        for (auto &rep : part)
+            out.push_back(std::move(rep));
+    return out;
 }
 
 }  // namespace
@@ -163,37 +236,37 @@ std::vector<WorkloadReport>
 SweepRunner::run(const std::vector<SweepCase> &cases,
                  const SweepProgress &progress)
 {
-    auto runCase = namingCase(simulateCase);
-    if (!progress)
-        return parallelMapOrdered(pool_, cases, runCase);
-    return parallelMapOrdered(
-        pool_, cases, withProgress(runCase, progress, cases.size()));
+    ProgressTicker tick(progress, cases.size());
+    auto parts = parallelMapOrdered(
+        pool_, groupCases(cases),
+        [&](CaseGroup g) { return runGroup(cases, g, tick); });
+    return flatten(std::move(parts), cases.size());
 }
 
 std::vector<SloResult>
 SweepRunner::search(const std::vector<SweepCase> &cases,
                     const SweepProgress &progress)
 {
-    auto searchCase = namingCase([](const SweepCase &c) {
-        if (c.scenario)
-            return findBestSetup(c.scenario, c.gen, c.params);
-        return findBestSetup(c.workload, c.gen, c.params);
+    ProgressTicker tick(progress, cases.size());
+    return parallelMapOrdered(pool_, cases, [&](const SweepCase &c) {
+        auto result = namingCase(c, [&] {
+            if (c.scenario)
+                return findBestSetup(c.scenario, c.gen, c.params);
+            return findBestSetup(c.workload, c.gen, c.params);
+        });
+        tick();
+        return result;
     });
-    if (!progress)
-        return parallelMapOrdered(pool_, cases, searchCase);
-    return parallelMapOrdered(
-        pool_, cases,
-        withProgress(searchCase, progress, cases.size()));
 }
 
 std::vector<WorkloadReport>
 SweepRunner::runSerial(const std::vector<SweepCase> &cases)
 {
-    std::vector<WorkloadReport> out;
-    out.reserve(cases.size());
-    for (const auto &c : cases)
-        out.push_back(simulateCase(c));
-    return out;
+    ProgressTicker tick({}, cases.size());
+    std::vector<std::vector<WorkloadReport>> parts;
+    for (auto g : groupCases(cases))
+        parts.push_back(runGroup(cases, g, tick));
+    return flatten(std::move(parts), cases.size());
 }
 
 }  // namespace sim

@@ -4,9 +4,10 @@
  * params x pod setup) grids out across a worker pool and returns
  * results in the exact order of the input grid, so a parallel sweep is
  * a drop-in replacement for the serial loop the figure binaries used
- * to run. Each grid point is simulated by its own Engine instance, so
- * points never share mutable state and the results are bitwise
- * identical to the serial path.
+ * to run. Adjacent cases that differ only in gating params share one
+ * execution (Engine::execute) and are priced once each
+ * (Engine::price); groups never share mutable state, so the results
+ * are bitwise identical to the serial path at any worker count.
  */
 
 #ifndef REGATE_SIM_SWEEP_H
@@ -101,7 +102,12 @@ class SweepRunner
     /** @param threads 0 = REGATE_THREADS env or hardware concurrency. */
     explicit SweepRunner(unsigned threads = 0) : pool_(threads) {}
 
-    /** Simulate every case; results are index-aligned with @p cases. */
+    /**
+     * Simulate every case; results are index-aligned with @p cases.
+     * Each maximal run of adjacent cases with the same scenario (or
+     * workload), generation and setup is one pool task: it builds,
+     * compiles and executes once, then prices once per case.
+     */
     std::vector<WorkloadReport> run(
         const std::vector<SweepCase> &cases,
         const SweepProgress &progress = {});
@@ -115,7 +121,7 @@ class SweepRunner
         const std::vector<SweepCase> &cases,
         const SweepProgress &progress = {});
 
-    /** Serial reference implementation of run() for equivalence tests. */
+    /** run() without the pool (same grouping), for equivalence tests. */
     static std::vector<WorkloadReport> runSerial(
         const std::vector<SweepCase> &cases);
 

@@ -13,6 +13,10 @@ without a sweep grid):
 - `--metrics-out FILE` exits 0 and writes a metrics snapshot whose
   FNV-1a digest footer verifies.
 
+fig21's default grid (5 workloads x 5 leakage settings) must report
+25 engine pricings from 5 executions: adjacent cases that differ only
+in gating params share one execution.
+
 A spec the parser accepts but that no pod setup can run makes fig02
 (SLO search) and fig03 (plain run) exit 1 with a message naming the
 binary, the scenario and the generation. No run leaves stray files
@@ -44,6 +48,10 @@ batch = 1
 """
 
 DIGEST_KEY = '"digest": "'
+
+# fig21's default grid: one execution per workload, one pricing per
+# (workload, leakage setting).
+FIG21_COUNTERS = {"sim.engine.executions": 5, "sim.engine.pricings": 25}
 
 failures = []
 
@@ -83,6 +91,13 @@ def digest_verifies(text):
             fnv1a64(text[:body_end].encode()) == stored)
 
 
+def counter_value(text, name):
+    """A counter's value in a snapshot, or None when absent."""
+    match = re.search(rf'^"{re.escape(name)}": ([0-9]+),?$', text,
+                      re.MULTILINE)
+    return int(match.group(1)) if match else None
+
+
 def check_grid_binary(binary, paper_spec, infeasible_spec):
     name = binary.name
     with tempfile.TemporaryDirectory() as cwd:
@@ -110,6 +125,12 @@ def check_grid_binary(binary, paper_spec, infeasible_spec):
             check(digest_verifies(text),
                   f"{name} --metrics-out: digest footer does not "
                   f"verify")
+            if name.startswith("fig21_"):
+                for counter, want in FIG21_COUNTERS.items():
+                    got = counter_value(text, counter)
+                    check(got == want,
+                          f"{name} --metrics-out: {counter} = {got}, "
+                          f"want {want}")
 
         if name.startswith(("fig02_", "fig03_")):
             proc = run([str(binary), "--spec", str(infeasible_spec)],

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/error.h"
 
 #include "common/units.h"
@@ -25,6 +29,44 @@ TEST(Torus, ExplicitDims)
     EXPECT_EQ(t.rank(), 2);
     EXPECT_EQ(t.diameterHops(), 4);
     EXPECT_EQ(t.toString(), "4x4");
+}
+
+/** The original exhaustive factorization forChips must reproduce. */
+std::vector<int>
+exhaustiveDims(int chips, int rank)
+{
+    std::vector<int> dims(rank, 1);
+    int remaining = chips;
+    for (int i = 0; i < rank; ++i) {
+        int slots = rank - i;
+        int target = static_cast<int>(
+            std::max(1.0, std::round(std::pow(
+                static_cast<double>(remaining), 1.0 / slots))));
+        int best = 1;
+        for (int f = 1; f <= remaining; ++f) {
+            if (remaining % f == 0 && f <= std::max(target, 1))
+                best = f;
+        }
+        if (i == rank - 1)
+            best = remaining;
+        dims[i] = best;
+        remaining /= best;
+    }
+    std::sort(dims.begin(), dims.end());
+    return dims;
+}
+
+TEST(Torus, FactorizationMatchesExhaustiveScan)
+{
+    for (int rank : {2, 3}) {
+        arch::NpuConfig cfg = arch::npuConfig(NpuGeneration::D);
+        cfg.torusDims = rank;
+        for (int chips = 1; chips <= 4096; ++chips) {
+            Torus t = Torus::forChips(cfg, chips);
+            ASSERT_EQ(t.dims(), exhaustiveDims(chips, rank))
+                << "chips=" << chips << " rank=" << rank;
+        }
+    }
 }
 
 TEST(Torus, FactorizationPreservesChipCount)

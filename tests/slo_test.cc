@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the SLO-compliant configuration search (§3, Table 4).
+ * Tests for the SLO-compliant configuration search (§3, Table 4),
+ * serial and parallel.
  */
 
 #include <gtest/gtest.h>
 
+#include "run_compare.h"
 #include "sim/slo.h"
 
 namespace regate {
@@ -69,6 +71,41 @@ TEST(Slo, OlderGenerationMayRelax)
     auto res = findBestSetup(Workload::Prefill13B, NpuGeneration::A);
     EXPECT_GE(res.sloRatio, 1.0);
     EXPECT_GT(res.energyPerUnit, 0.0);
+}
+
+TEST(ParallelFindBestSetup, MatchesSerialAtEveryThreadCount)
+{
+    // REGATE_THREADS only sizes the default pool, so passing explicit
+    // pools of 1/2/8 workers exercises exactly the configurations
+    // REGATE_THREADS=1,2,8 would produce.
+    for (auto w : {Workload::DlrmS, Workload::Prefill13B,
+                   Workload::Decode8B}) {
+        for (auto gen : {NpuGeneration::A, NpuGeneration::D}) {
+            auto serial = findBestSetupSerial(w, gen);
+            for (unsigned threads : {1u, 2u, 8u}) {
+                ThreadPool pool(threads);
+                auto par = findBestSetup(w, gen, {}, &pool);
+                EXPECT_TRUE(par.setup == serial.setup)
+                    << models::workloadName(w) << " threads="
+                    << threads;
+                EXPECT_EQ(par.secondsPerUnit, serial.secondsPerUnit);
+                EXPECT_EQ(par.energyPerUnit, serial.energyPerUnit);
+                EXPECT_EQ(par.sloRatio, serial.sloRatio);
+                expectRunsIdentical(par.report.run(),
+                                    serial.report.run());
+            }
+        }
+    }
+}
+
+TEST(ParallelFindBestSetup, DefaultPoolMatchesSerial)
+{
+    auto serial =
+        findBestSetupSerial(Workload::DlrmM, NpuGeneration::C);
+    auto par = findBestSetup(Workload::DlrmM, NpuGeneration::C);
+    EXPECT_TRUE(par.setup == serial.setup);
+    EXPECT_EQ(par.energyPerUnit, serial.energyPerUnit);
+    EXPECT_EQ(par.sloRatio, serial.sloRatio);
 }
 
 }  // namespace

@@ -1,21 +1,23 @@
 /**
  * @file
- * Tests for the parallel sweep subsystem and operator memoization:
- * the thread pool, deterministic ordered fan-out, cached vs uncached
- * engine equivalence (bitwise), and parallel vs serial sweep
- * equivalence (bitwise).
+ * Tests for the parallel sweep subsystem: the thread pool,
+ * deterministic ordered fan-out, parallel vs serial sweep equivalence
+ * (bitwise), and the grouping that prices adjacent cases off one
+ * execution (bitwise equal to running each case alone).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 
 #include "common/thread_pool.h"
 #include "compiler/compiler.h"
+#include "models/spec.h"
+#include "obs/metrics.h"
+#include "run_compare.h"
 #include "sim/sweep.h"
 
 namespace regate {
@@ -88,71 +90,11 @@ TEST(ParallelMapOrdered, PreservesInputOrder)
         EXPECT_EQ(out[i], 3 * static_cast<int>(i) + 1);
 }
 
-/** Exact comparison of everything a figure reads out of a run. */
-void
-expectRunsIdentical(const WorkloadRun &a, const WorkloadRun &b)
+TEST(Engine, PodSizeChangesCollectiveRun)
 {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.seconds, b.seconds);
-    EXPECT_EQ(a.sramUsedIntegral, b.sramUsedIntegral);
-    for (auto c : arch::kAllComponents)
-        EXPECT_TRUE(a.timeline[c] == b.timeline[c])
-            << "timeline mismatch for " << arch::componentName(c);
-    for (auto p : allPolicies()) {
-        const auto &ra = a.result(p);
-        const auto &rb = b.result(p);
-        EXPECT_EQ(ra.overheadCycles, rb.overheadCycles);
-        EXPECT_EQ(ra.seconds, rb.seconds);
-        EXPECT_EQ(ra.perfOverhead, rb.perfOverhead);
-        EXPECT_EQ(ra.avgPowerW, rb.avgPowerW);
-        EXPECT_EQ(ra.peakPowerW, rb.peakPowerW);
-        EXPECT_EQ(ra.vuGateEvents, rb.vuGateEvents);
-        EXPECT_EQ(ra.sramSetpmPairs, rb.sramSetpmPairs);
-        EXPECT_EQ(0, std::memcmp(&ra.energy, &rb.energy,
-                                 sizeof(ra.energy)))
-            << "energy breakdown mismatch for " << policyName(p);
-    }
-}
-
-TEST(OpMemoization, CachedRunBitwiseIdenticalToUncached)
-{
-    for (auto w : {models::Workload::Decode13B,
-                   models::Workload::DlrmM,
-                   models::Workload::DiTXL}) {
-        const auto &cfg = arch::npuConfig(arch::NpuGeneration::D);
-        auto setup = models::defaultSetup(w, arch::NpuGeneration::D);
-        auto compiled = compiler::compileGraph(
-            models::buildGraph(w, setup), cfg);
-
-        Engine cached(cfg);
-        Engine uncached(cfg);
-        uncached.setMemoization(false);
-
-        auto a = cached.run(compiled.graph, setup.chips);
-        auto b = uncached.run(compiled.graph, setup.chips);
-        expectRunsIdentical(a, b);
-        EXPECT_EQ(b.opCacheHits, 0u);
-        EXPECT_EQ(b.opCacheMisses, 0u);
-        EXPECT_EQ(a.opCacheHits + a.opCacheMisses,
-                  static_cast<std::uint64_t>([&] {
-                      std::size_t n = 0;
-                      for (const auto &blk : compiled.graph.blocks)
-                          n += blk.ops.size();
-                      return n;
-                  }()));
-
-        // A warm re-run hits for every op and stays identical.
-        auto c = cached.run(compiled.graph, setup.chips);
-        EXPECT_EQ(c.opCacheMisses, 0u);
-        EXPECT_GT(c.opCacheHits, 0u);
-        expectRunsIdentical(a, c);
-    }
-}
-
-TEST(OpMemoization, CacheKeyedByPodSize)
-{
-    // The same collective op on different pod sizes must not share a
-    // cache entry: collective latency depends on the torus.
+    // Collective latency depends on the torus, so the same graph on a
+    // larger pod must run differently, and execute() + price() must
+    // equal run() on either pod.
     const auto w = models::Workload::Train70B;
     const auto &cfg = arch::npuConfig(arch::NpuGeneration::D);
     auto setup = models::defaultSetup(w, arch::NpuGeneration::D);
@@ -162,13 +104,10 @@ TEST(OpMemoization, CacheKeyedByPodSize)
     Engine engine(cfg);
     auto small = engine.run(compiled.graph, setup.chips);
     auto large = engine.run(compiled.graph, setup.chips * 4);
-    // Same engine (same cache): the collective-heavy run must differ.
     EXPECT_NE(small.cycles, large.cycles);
-
-    Engine fresh(cfg);
-    fresh.setMemoization(false);
-    auto ref = fresh.run(compiled.graph, setup.chips * 4);
-    expectRunsIdentical(large, ref);
+    expectRunsIdentical(
+        large, engine.price(engine.execute(compiled.graph, setup.chips * 4),
+                            engine.params()));
 }
 
 TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
@@ -182,11 +121,6 @@ TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
     ASSERT_EQ(grid.size(), 8u);
 
     auto serial = SweepRunner::runSerial(grid);
-    // Clear every shared cache (operator, compiled-graph, whole-run)
-    // so the parallel pass recomputes every simulation instead of
-    // replaying the serial pass's cached results — a genuinely
-    // independent comparison.
-    clearSharedCaches();
     SweepRunner runner(4);
     auto parallel = runner.run(grid);
 
@@ -198,7 +132,7 @@ TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
         expectRunsIdentical(serial[i].run(), parallel[i].run());
     }
 
-    // Re-running the sweep (warm shared cache) stays identical too.
+    // Re-running the sweep stays identical too.
     auto again = runner.run(grid);
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectRunsIdentical(serial[i].run(), again[i].run());
@@ -223,28 +157,185 @@ TEST(SweepRunner, SearchMatchesSerialSearch)
     }
 }
 
-TEST(OperatorHash, SameWorkIgnoresNameButNotShape)
+/** Fig. 21's five leakage settings, then Fig. 22's five delay scales. */
+std::vector<arch::GatingParams>
+sensitivityPoints()
 {
-    graph::Operator a;
-    a.kind = graph::OpKind::MatMul;
-    a.name = "mm1";
-    a.batch = 2;
-    a.m = 128;
-    a.k = 256;
-    a.n = 512;
-    graph::Operator b = a;
-    b.name = "mm2";
-    EXPECT_TRUE(a.sameWork(b));
-    EXPECT_EQ(a.workHash(), b.workHash());
+    const double leakage[][3] = {{0.03, 0.25, 0.002},
+                                 {0.1, 0.3, 0.01},
+                                 {0.2, 0.4, 0.1},
+                                 {0.4, 0.5, 0.25},
+                                 {0.6, 0.8, 0.4}};
+    std::vector<arch::GatingParams> points;
+    for (const auto &l : leakage) {
+        arch::LeakageRatios r;
+        r.logicOff = l[0];
+        r.sramSleep = l[1];
+        r.sramOff = l[2];
+        points.emplace_back(r);
+    }
+    for (double scale : {1.0, 1.5, 2.0, 3.0, 4.0}) {
+        arch::GatingParams p;
+        p.setDelayScale(scale);
+        points.push_back(p);
+    }
+    return points;
+}
 
-    b.n = 513;
-    EXPECT_FALSE(a.sameWork(b));
-    b = a;
-    b.mapToVu = true;
-    EXPECT_FALSE(a.sameWork(b));
-    b = a;
-    b.sramDemandBytes = 4096;
-    EXPECT_FALSE(a.sameWork(b));
+/** Process-wide engine counter (tests run one at a time). */
+std::uint64_t
+engineCount(const char *name)
+{
+    return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+TEST(SweepGrouping, GroupedRunEqualsOneCaseGrids)
+{
+    // Every paper workload at all ten sensitivity points: each
+    // workload's ten adjacent cases share one execution, and each
+    // priced report must equal the case run on its own.
+    std::vector<SweepCase> grid;
+    for (auto w : models::allWorkloads()) {
+        for (const auto &p : sensitivityPoints()) {
+            SweepCase c;
+            c.workload = w;
+            c.gen = arch::NpuGeneration::D;
+            c.params = p;
+            grid.push_back(c);
+        }
+    }
+
+    std::vector<WorkloadReport> alone;
+    for (const auto &c : grid) {
+        auto one = SweepRunner::runSerial({c});
+        ASSERT_EQ(one.size(), 1u);
+        alone.push_back(one[0]);
+    }
+
+    for (unsigned threads : {1u, 4u}) {
+        SweepRunner runner(threads);
+        auto executions = engineCount("sim.engine.executions");
+        auto pricings = engineCount("sim.engine.pricings");
+        auto grouped = runner.run(grid);
+        EXPECT_EQ(engineCount("sim.engine.executions") - executions,
+                  models::allWorkloads().size());
+        EXPECT_EQ(engineCount("sim.engine.pricings") - pricings,
+                  grid.size());
+        ASSERT_EQ(grouped.size(), grid.size());
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            SCOPED_TRACE(models::workloadName(grid[i].workload) +
+                         " point " + std::to_string(i % 10) +
+                         " threads " + std::to_string(threads));
+            EXPECT_EQ(grouped[i].workload, alone[i].workload);
+            EXPECT_TRUE(grouped[i].setup == alone[i].setup);
+            EXPECT_EQ(grouped[i].units, alone[i].units);
+            EXPECT_TRUE(grouped[i].gatingParams() == grid[i].params);
+            expectRunsIdentical(grouped[i].run(), alone[i].run());
+        }
+    }
+}
+
+TEST(SweepGrouping, ProgressTicksOncePerCaseInOrder)
+{
+    auto grid = makeGrid({models::Workload::DlrmS,
+                          models::Workload::Decode8B},
+                         {arch::NpuGeneration::D});
+    std::vector<SweepCase> cases;
+    for (const auto &c : grid) {
+        for (const auto &p : sensitivityPoints()) {
+            cases.push_back(c);
+            cases.back().params = p;
+        }
+    }
+    std::vector<std::size_t> seen;
+    SweepRunner runner(4);
+    runner.run(cases, [&](std::size_t done, std::size_t total) {
+        EXPECT_EQ(total, cases.size());
+        seen.push_back(done);
+    });
+    ASSERT_EQ(seen.size(), cases.size());
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], i + 1);
+}
+
+TEST(SweepGrouping, CasesDifferingInSetupAreNotMerged)
+{
+    const auto w = models::Workload::DlrmM;
+    const auto gen = arch::NpuGeneration::D;
+    auto candidates = candidateSetups(w, gen);
+    ASSERT_GE(candidates.size(), 2u);
+
+    // Default setup, then two explicit setups, all with equal params.
+    std::vector<SweepCase> grid(3);
+    for (auto &c : grid) {
+        c.workload = w;
+        c.gen = gen;
+    }
+    grid[1].hasSetup = true;
+    grid[1].setup = candidates[0];
+    grid[2].hasSetup = true;
+    grid[2].setup = candidates[1];
+    ASSERT_FALSE(grid[1].setup == grid[2].setup);
+
+    auto executions = engineCount("sim.engine.executions");
+    auto reports = SweepRunner(2).run(grid);
+    EXPECT_EQ(engineCount("sim.engine.executions") - executions, 3u);
+    ASSERT_EQ(reports.size(), 3u);
+    EXPECT_TRUE(reports[1].setup == candidates[0]);
+    EXPECT_TRUE(reports[2].setup == candidates[1]);
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        expectRunsIdentical(reports[i].run(),
+                            SweepRunner::runSerial({grid[i]})[0].run());
+
+    // The same workload on another generation is another execution.
+    std::vector<SweepCase> gens = makeGrid(
+        {w}, {arch::NpuGeneration::C, arch::NpuGeneration::D});
+    executions = engineCount("sim.engine.executions");
+    SweepRunner::runSerial(gens);
+    EXPECT_EQ(engineCount("sim.engine.executions") - executions, 2u);
+}
+
+TEST(SweepGrouping, ConfigErrorInsideAGroupNamesItsCase)
+{
+    // A feasible group, then three gating points of a scenario no
+    // setup can run: the error must name the infeasible scenario,
+    // not the grid's first case.
+    auto file = models::parseSpecText(
+        "@regate-spec v1\n"
+        "[scenario moe-infeasible]\n"
+        "family = moe\n"
+        "model = 8b\n"
+        "experts = 16\n"
+        "chips = 1\n"
+        "batch = 1\n");
+    auto grid = makeGrid({models::Workload::DlrmS},
+                         {arch::NpuGeneration::A});
+    for (const auto &p : sensitivityPoints()) {
+        grid.push_back(
+            scenarioCase(file.scenarios[0], arch::NpuGeneration::A, p));
+        if (grid.size() == 4)
+            break;
+    }
+    for (unsigned threads : {1u, 4u}) {
+        try {
+            SweepRunner(threads).run(grid);
+            FAIL() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("scenario 'moe-infeasible' on "
+                                "generation A: "),
+                      std::string::npos)
+                << what;
+        }
+        try {
+            SweepRunner::runSerial(grid);
+            FAIL() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("'moe-infeasible'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 }  // namespace

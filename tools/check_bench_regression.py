@@ -17,9 +17,9 @@ the ratio. A case regresses when its speedup drops to less than
 (1 - max_slowdown) of the previous run's.
 
 Only cases marked `"gated": 1` in BENCH_core.json fail the build
-(the same set micro_benchmarks enforces the 5x floor on); ungated
-cases — pool scaling, closed-form memoization — are machine-dependent
-and reported as SLOWER without failing. Cases whose time sits below
+(the same set micro_benchmarks enforces its floors on); ungated
+cases — pool scaling — are machine-dependent and reported as SLOWER
+without failing. Cases whose time sits below
 the --min-ns clock-resolution floor are skipped (their ratios are
 dominated by timer noise), as are cases present in only one file (the
 case set is allowed to evolve).
@@ -27,7 +27,7 @@ case set is allowed to evolve).
 `--require NAME` (repeatable) asserts NAME is present and gated in
 the *current* file, and fails the build otherwise — even when there
 is no previous artifact to diff against. This keeps load-bearing
-cases (engine_rerun_memoized, BM_WarmHitCost) from silently dropping
+cases (engine_price_many, BM_MetricsOverhead) from silently dropping
 out of the bench binary or losing their gate.
 """
 
@@ -116,8 +116,8 @@ def main():
         status = "OK"
         if ratio < 1.0 - args.max_slowdown:
             # Only cases the bench itself gates hard-fail the build;
-            # ungated cases (pool scaling, closed-form memoization)
-            # are machine-dependent and reported for the trajectory.
+            # ungated cases (pool scaling) are machine-dependent and
+            # reported for the trajectory.
             if new.get("gated", 1):
                 status = "REGRESSED"
                 failed = True
