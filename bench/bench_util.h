@@ -269,14 +269,6 @@ tracedSweep(const char *kind, std::size_t cases, Sweep &&sweep)
     }
 }
 
-/** Display name of a report's case (scenario name or enum name). */
-inline std::string
-caseName(const sim::WorkloadReport &rep)
-{
-    return rep.scenario ? rep.scenario->name
-                        : models::workloadName(rep.workload);
-}
-
 }  // namespace detail
 
 /** Run the binary's sweep grid: the plain in-process parallel sweep. */
@@ -301,59 +293,27 @@ searchGrid(const std::vector<sim::SweepCase> &grid)
         });
 }
 
-/** Simulate (workload, gen) pairs in parallel, input-ordered. */
-inline std::vector<sim::WorkloadReport>
-simulateAll(const std::vector<models::Workload> &workloads,
-            const std::vector<arch::NpuGeneration> &gens,
-            const arch::GatingParams &params = {})
-{
-    return runGrid(sim::makeGrid(workloads, gens, params));
-}
-
 /**
- * One entry of a binary's workload axis: a paper workload (default
- * axis, or a `--spec` scenario identical to one) or a registry-driven
- * custom scenario. The figure binaries iterate this instead of the
- * Workload enum, so `--spec FILE` swaps the whole axis without
- * touching any rendering code.
+ * One entry of a binary's workload axis: a paper workload's
+ * models::builtinScenario (the default axis, or a `--spec` scenario
+ * identical to one) or a registry-driven custom scenario. The figure
+ * binaries iterate this instead of the Workload enum, so
+ * `--spec FILE` swaps the whole axis without touching any rendering
+ * code.
  */
 struct Scenario
 {
-    /** The paper workload; authoritative only when builtin. */
-    models::Workload workload{};
-
-    /** The spec scenario; null on the default (enum) axis. */
     std::shared_ptr<const models::ScenarioSpec> spec;
 
-    /**
-     * True when the identity is `workload` — the default axis, or a
-     * spec scenario normalized onto the paper workload it duplicates
-     * (models::builtinWorkloadOf), which keeps spec-driven output of
-     * built-in scenarios byte-identical to the enum-driven run.
-     */
-    bool builtin = true;
-
-    std::string
-    name() const
-    {
-        return builtin ? models::workloadName(workload) : spec->name;
-    }
+    std::string name() const { return spec->name; }
 
     std::string
     familyLabel() const
     {
-        return builtin
-                   ? models::workloadFamilyName(
-                         models::familyOf(workload))
-                   : models::scenarioFamilyLabel(*spec);
+        return models::scenarioFamilyLabel(*spec);
     }
 
-    models::WorkUnit
-    unit() const
-    {
-        return builtin ? models::workUnitOf(workload)
-                       : models::scenarioWorkUnit(*spec);
-    }
+    models::WorkUnit unit() const { return models::scenarioWorkUnit(*spec); }
 
     std::string unitLabel() const
     {
@@ -362,9 +322,9 @@ struct Scenario
 };
 
 /**
- * The binary's workload axis: @p defaults wrapped as builtin
- * scenarios, or — under `--spec FILE` — the spec's scenarios (those
- * identical to a paper workload normalized onto it).
+ * The binary's workload axis: @p defaults as built-in scenarios, or —
+ * under `--spec FILE` — the spec's scenarios (those identical to a
+ * paper workload replaced by its built-in, models::canonicalScenario).
  */
 inline std::vector<Scenario>
 workloadAxis(const std::vector<models::Workload> &defaults)
@@ -374,38 +334,27 @@ workloadAxis(const std::vector<models::Workload> &defaults)
     if (!cli.hasSpec()) {
         axis.reserve(defaults.size());
         for (auto w : defaults)
-            axis.push_back(Scenario{w, nullptr, true});
+            axis.push_back(Scenario{models::builtinScenario(w)});
         return axis;
     }
     axis.reserve(cli.scenarios.size());
-    for (const auto &spec : cli.scenarios) {
-        Scenario s;
-        s.spec = spec;
-        s.builtin = models::builtinWorkloadOf(*spec, &s.workload);
-        axis.push_back(std::move(s));
-    }
+    for (const auto &spec : cli.scenarios)
+        axis.push_back(Scenario{models::canonicalScenario(spec)});
     return axis;
 }
 
 /**
- * The sweep case of one axis entry on @p gen: spec-backed entries go
- * through sim::scenarioCase (gating overlays + builtin
- * normalization); default-axis entries are the plain enum case.
+ * The sweep case of one axis entry on @p gen (sim::scenarioCase:
+ * @p params plus the spec's gating overrides).
  */
 inline sim::SweepCase
 caseFor(const Scenario &s, arch::NpuGeneration gen,
         const arch::GatingParams &params = {})
 {
-    if (s.spec)
-        return sim::scenarioCase(s.spec, gen, params);
-    sim::SweepCase c;
-    c.workload = s.workload;
-    c.gen = gen;
-    c.params = params;
-    return c;
+    return sim::scenarioCase(s.spec, gen, params);
 }
 
-/** Dense (axis x generations) grid, axis-major (see sim::makeGrid). */
+/** Dense (axis x generations) grid, axis-major. */
 inline std::vector<sim::SweepCase>
 makeGrid(const std::vector<Scenario> &axis,
          const std::vector<arch::NpuGeneration> &gens,
@@ -420,7 +369,7 @@ makeGrid(const std::vector<Scenario> &axis,
     return grid;
 }
 
-/** simulateAll over a workload axis (the `--spec`-aware spelling). */
+/** Simulate (axis entry, gen) pairs in parallel, input-ordered. */
 inline std::vector<sim::WorkloadReport>
 simulateAll(const std::vector<Scenario> &axis,
             const std::vector<arch::NpuGeneration> &gens,
@@ -432,40 +381,20 @@ simulateAll(const std::vector<Scenario> &axis,
 /**
  * Walk simulateAll results in consumption order: returns the report
  * at @p idx and advances it, checking the report really is the
- * (workload, gen) the caller's loop expects — so a consumption loop
- * that falls out of step with makeGrid's workload-major grid order
- * fails loudly instead of silently showing another case's numbers.
+ * (scenario, gen) the caller's loop expects — so a consumption loop
+ * that falls out of step with makeGrid's axis-major grid order fails
+ * loudly instead of silently showing another case's numbers.
  */
-inline const sim::WorkloadReport &
-reportFor(const std::vector<sim::WorkloadReport> &reports,
-          std::size_t &idx, models::Workload w,
-          arch::NpuGeneration gen)
-{
-    const auto &rep = reports.at(idx++);
-    REGATE_CHECK(rep.workload == w && rep.gen == gen,
-                 "report order mismatch at index ", idx - 1,
-                 ": expected ", models::workloadName(w), "/",
-                 arch::generationName(gen), ", got ",
-                 models::workloadName(rep.workload), "/",
-                 arch::generationName(rep.gen));
-    return rep;
-}
-
-/** reportFor over a workload-axis entry (enum or custom scenario). */
 inline const sim::WorkloadReport &
 reportFor(const std::vector<sim::WorkloadReport> &reports,
           std::size_t &idx, const Scenario &s, arch::NpuGeneration gen)
 {
     const auto &rep = reports.at(idx++);
-    bool identity_ok =
-        s.builtin ? (!rep.scenario && rep.workload == s.workload)
-                  : (rep.scenario &&
-                     rep.scenario->sameScenario(*s.spec));
-    REGATE_CHECK(identity_ok && rep.gen == gen,
+    REGATE_CHECK(rep.scenario == s.spec && rep.gen == gen,
                  "report order mismatch at index ", idx - 1,
                  ": expected ", s.name(), "/",
                  arch::generationName(gen), ", got ",
-                 detail::caseName(rep), "/",
+                 rep.scenario ? rep.scenario->name : "(none)", "/",
                  arch::generationName(rep.gen));
     return rep;
 }

@@ -26,9 +26,7 @@ main(int argc, char **argv)
     for (const auto &s : axis) {
         const auto &rep = bench::reportFor(
             reports, idx, s, arch::NpuGeneration::D);
-        double factor =
-            s.builtin ? carbon::annualEfficiencyFactor(s.workload)
-                      : carbon::annualEfficiencyFactor(s.spec);
+        double factor = carbon::annualEfficiencyFactor(s.spec);
         auto nopg = carbon::analyzeLifespan(rep, Policy::NoPG, factor);
         auto full = carbon::analyzeLifespan(rep, Policy::Full, factor);
 

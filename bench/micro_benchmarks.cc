@@ -421,7 +421,7 @@ caseEnginePriceMany()
     t0 = Clock::now();
     for (int i = 0; i < kPasses; ++i) {
         priced.clear();
-        auto ex = sim::executeWorkload(w, gen);
+        auto ex = sim::executeScenario(models::builtinScenario(w), gen);
         for (const auto &p : points)
             priced.push_back(sim::priceReport(ex, p));
     }
@@ -504,9 +504,10 @@ caseParallelSweep()
 {
     CoreCase cc;
     cc.name = "sweep_parallel_vs_serial";
-    auto grid = sim::makeGrid(
-        {models::Workload::Prefill8B, models::Workload::Decode8B,
-         models::Workload::DlrmS},
+    auto grid = sim::scenarioGrid(
+        {models::builtinScenario(models::Workload::Prefill8B),
+         models::builtinScenario(models::Workload::Decode8B),
+         models::builtinScenario(models::Workload::DlrmS)},
         {arch::NpuGeneration::C, arch::NpuGeneration::D});
 
     // Untimed warm-up pass to touch every code path once.
@@ -761,7 +762,8 @@ BM_SloSearch(benchmark::State &state)
     // Every candidate setup is built, compiled and simulated.
     for (auto _ : state) {
         benchmark::DoNotOptimize(sim::findBestSetup(
-            models::Workload::DlrmM, arch::NpuGeneration::D));
+            models::builtinScenario(models::Workload::DlrmM),
+            arch::NpuGeneration::D));
     }
 }
 BENCHMARK(BM_SloSearch);

@@ -30,12 +30,8 @@ main(int argc, char **argv)
     std::size_t idx = 0;
     for (const auto &s : axis) {
         const auto &res = results.at(idx++);
-        // The paper column only exists for the 17 paper workloads;
-        // custom scenarios anchor on their registry default setup.
-        auto paper = s.builtin
-                         ? models::table4Setup(s.workload)
-                         : models::defaultScenarioSetup(
-                               *s.spec, arch::NpuGeneration::D);
+        // The spec's declared setup: Table 4 for a paper workload.
+        auto paper = models::scenarioSetup(*s.spec);
         t.addRow({s.name(),
                   std::to_string(res.setup.chips),
                   std::to_string(res.setup.batch),

@@ -8,12 +8,12 @@
 namespace regate {
 namespace carbon {
 
-namespace {
-
 double
-annualFactorFrom(const sim::WorkloadReport &rep_c,
-                 const sim::WorkloadReport &rep_d)
+annualEfficiencyFactor(
+    const std::shared_ptr<const models::ScenarioSpec> &spec)
 {
+    auto rep_c = sim::simulateScenario(spec, arch::NpuGeneration::C);
+    auto rep_d = sim::simulateScenario(spec, arch::NpuGeneration::D);
     double e_c = rep_c.energyPerUnit(sim::Policy::NoPG);
     double e_d = rep_d.energyPerUnit(sim::Policy::NoPG);
     int years = arch::npuConfig(arch::NpuGeneration::D).deploymentYear -
@@ -23,24 +23,6 @@ annualFactorFrom(const sim::WorkloadReport &rep_c,
     // Clamp: a regression would imply no reason to ever upgrade.
     total = std::min(total, 0.999);
     return std::pow(total, 1.0 / years);
-}
-
-}  // namespace
-
-double
-annualEfficiencyFactor(models::Workload workload)
-{
-    return annualFactorFrom(
-        sim::simulateWorkload(workload, arch::NpuGeneration::C),
-        sim::simulateWorkload(workload, arch::NpuGeneration::D));
-}
-
-double
-annualEfficiencyFactor(std::shared_ptr<const models::ScenarioSpec> spec)
-{
-    return annualFactorFrom(
-        sim::simulateScenario(spec, arch::NpuGeneration::C),
-        sim::simulateScenario(spec, arch::NpuGeneration::D));
 }
 
 LifespanAnalysis

@@ -31,7 +31,7 @@ struct LifespanPoint
     }
 };
 
-/** Sweep result for one workload/policy. */
+/** Sweep result for one scenario/policy. */
 struct LifespanAnalysis
 {
     std::vector<LifespanPoint> points;  ///< Lifespans 1..horizon.
@@ -40,14 +40,11 @@ struct LifespanAnalysis
 
 /**
  * Annual per-unit energy improvement factor implied by the NPU-C ->
- * NPU-D transition for @p workload (3 deployment years apart).
+ * NPU-D transition for @p spec (3 deployment years apart).
  * Returns f < 1 such that next year's energy/unit = f * this year's.
  */
-double annualEfficiencyFactor(models::Workload workload);
-
-/** The custom-scenario spelling (fig25 under `--spec`). */
 double annualEfficiencyFactor(
-    std::shared_ptr<const models::ScenarioSpec> spec);
+    const std::shared_ptr<const models::ScenarioSpec> &spec);
 
 /**
  * Sweep lifespans 1..@p horizon_years for @p rep under @p policy.

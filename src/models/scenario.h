@@ -6,15 +6,14 @@
  *
  * A ScenarioSpec is the registry-era replacement for the Workload
  * enum's baked-in constructor arguments: the 17 paper workloads are
- * canonical built-in specs (models/workload.h builtinSpec()), and
+ * canonical built-in specs (models/workload.h builtinScenario()), and
  * user-defined scenarios arrive through the text parser
  * (models/spec.h) without recompiling anything.
  *
- * Identity: the `name` is display-only. Everything else — the
- * canonical `identityText()` — drives scenario comparison and builtin
- * matching,
- * so two specs that build the same graphs compare
- * equal no matter what their sections were called.
+ * Identity: the `name` is display-only. Everything else drives
+ * builtin matching (models::builtinWorkloadOf), so a spec that builds
+ * a paper workload's graphs is that workload no matter what its
+ * section was called.
  */
 
 #ifndef REGATE_MODELS_SCENARIO_H
@@ -65,16 +64,6 @@ struct ScenarioSpec
     /** Value of an extra key, or @p fallback when absent. */
     std::int64_t extraOr(const std::string &key,
                          std::int64_t fallback) const;
-
-    /**
-     * Canonical single-line spelling of every identity field (all
-     * but `name`). Equal text means
-     * interchangeable scenarios.
-     */
-    std::string identityText() const;
-
-    /** Identity comparison (name excluded). */
-    bool sameScenario(const ScenarioSpec &o) const;
 };
 
 }  // namespace models

@@ -251,18 +251,19 @@ workUnitName(WorkUnit unit)
     throw LogicError("unknown unit");
 }
 
-const ScenarioSpec &
-builtinSpec(Workload w)
+const std::shared_ptr<const ScenarioSpec> &
+builtinScenario(Workload w)
 {
-    static const std::array<ScenarioSpec, 17> specs = [] {
-        std::array<ScenarioSpec, 17> out;
+    using Specs = std::array<std::shared_ptr<const ScenarioSpec>, 17>;
+    static const Specs specs = [] {
+        Specs out;
         for (auto workload : allWorkloads()) {
-            ScenarioSpec s;
-            s.name = workloadName(workload);
-            s.family = familyKeyOf(workload);
-            s.model = modelKeyOf(workload);
-            table4ChipsBatch(workload, &s.chips, &s.batch);
-            validateScenario(s);
+            auto s = std::make_shared<ScenarioSpec>();
+            s->name = workloadName(workload);
+            s->family = familyKeyOf(workload);
+            s->model = modelKeyOf(workload);
+            table4ChipsBatch(workload, &s->chips, &s->batch);
+            validateScenario(*s);
             out[static_cast<std::size_t>(workload)] = std::move(s);
         }
         return out;
@@ -270,6 +271,12 @@ builtinSpec(Workload w)
     auto index = static_cast<std::size_t>(w);
     REGATE_CHECK(index < specs.size(), "unknown workload");
     return specs[index];
+}
+
+const ScenarioSpec &
+builtinSpec(Workload w)
+{
+    return *builtinScenario(w);
 }
 
 bool
@@ -292,6 +299,15 @@ builtinWorkloadOf(const ScenarioSpec &spec, Workload *out)
         }
     }
     return false;
+}
+
+std::shared_ptr<const ScenarioSpec>
+canonicalScenario(std::shared_ptr<const ScenarioSpec> spec)
+{
+    Workload w;
+    if (builtinWorkloadOf(*spec, &w))
+        return builtinScenario(w);
+    return spec;
 }
 
 RunSetup

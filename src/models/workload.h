@@ -4,6 +4,10 @@
  * workload instances, with the Table 4 most-energy-efficient
  * SLO-compliant configurations for NPU-D and heuristic scaling for
  * the other generations (larger HBM -> fewer chips, §3).
+ *
+ * The Workload enum is a name for a built-in scenario, nothing more:
+ * builtinScenario() maps it to its ScenarioSpec, and everything from
+ * sim:: upward identifies a workload by that spec alone.
  */
 
 #ifndef REGATE_MODELS_WORKLOAD_H
@@ -11,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -81,22 +86,31 @@ WorkUnit workUnitOf(Workload w);
 std::string workUnitName(WorkUnit unit);
 
 /**
- * The canonical built-in ScenarioSpec of a paper workload (Table 1
- * identity + Table 4 chips/batch, defaults filled). Every enum-keyed
- * function below is a thin shim replaying this spec through the
- * GeneratorRegistry — the enum path and the spec path are one code
- * path.
+ * The canonical built-in scenario of a paper workload (Table 1
+ * identity + Table 4 chips/batch, defaults filled), one process-wide
+ * shared pointer per workload: pointer equality is scenario identity.
+ * Every enum-keyed function below replays this spec through the
+ * GeneratorRegistry.
  */
+const std::shared_ptr<const ScenarioSpec> &builtinScenario(Workload w);
+
+/** *builtinScenario(w). */
 const ScenarioSpec &builtinSpec(Workload w);
 
 /**
- * True (and *out set) when @p spec is identical to a paper workload:
- * grid construction normalizes such specs onto the enum identity so
- * spec-driven runs render byte-identical to
- * enum-driven ones. Display name and gating overrides are ignored
- * (gating rides in the grid's params, not the workload identity).
+ * True (and *out set) when @p spec is identical to a paper workload.
+ * Display name is ignored; a spec with an explicit parallelism split,
+ * extra keys or gating overrides is always custom.
  */
 bool builtinWorkloadOf(const ScenarioSpec &spec, Workload *out);
+
+/**
+ * builtinScenario() of the paper workload @p spec duplicates
+ * (builtinWorkloadOf), else @p spec itself: a paper workload has one
+ * identity, and one display name, however it was spelled.
+ */
+std::shared_ptr<const ScenarioSpec> canonicalScenario(
+    std::shared_ptr<const ScenarioSpec> spec);
 
 /** Table 4 configuration (defined for NPU-D). */
 RunSetup table4Setup(Workload w);

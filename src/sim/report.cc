@@ -113,26 +113,6 @@ WorkloadReport::withRun(const WorkloadReport &identity, WorkloadRun run,
 
 namespace {
 
-/**
- * Build @p identity's graph with @p build (given the setup), compile
- * it for the generation, and execute it.
- */
-template <typename Build>
-ExecutedCase
-executeCase(WorkloadReport identity, Build &&build)
-{
-    const auto &cfg = arch::npuConfig(identity.gen);
-    compiler::CompileResult compiled;
-    {
-        obs::TraceRecorder::Span span("graph.build_compile", "sim");
-        compiled = compiler::compileGraph(build(identity.setup), cfg);
-    }
-    obs::TraceRecorder::Span span("engine.execute", "sim");
-    Execution ex = Engine(cfg).execute(compiled.graph,
-                                       identity.setup.chips);
-    return {std::move(identity), std::move(ex)};
-}
-
 /** Engine::price for @p ex's generation, traced. */
 template <typename Exec>
 WorkloadRun
@@ -147,45 +127,30 @@ priceExecution(const WorkloadReport &identity, Exec &&ex,
 }  // namespace
 
 ExecutedCase
-executeWorkload(models::Workload workload, arch::NpuGeneration gen,
-                const models::RunSetup *setup_override)
-{
-    WorkloadReport identity;
-    identity.workload = workload;
-    identity.gen = gen;
-    identity.setup = setup_override ? *setup_override
-                                    : models::defaultSetup(workload, gen);
-    auto ex = executeCase(std::move(identity),
-                          [workload](const models::RunSetup &setup) {
-                              return models::buildGraph(workload, setup);
-                          });
-    ex.identity.units =
-        models::unitsPerRun(workload, ex.identity.setup);
-    return ex;
-}
-
-ExecutedCase
 executeScenario(std::shared_ptr<const models::ScenarioSpec> spec,
                 arch::NpuGeneration gen,
                 const models::RunSetup *setup_override)
 {
     REGATE_CHECK(spec, "null scenario spec");
+    const auto &scenario = *spec;
     WorkloadReport identity;
     identity.scenario = std::move(spec);
     identity.gen = gen;
-    identity.setup =
-        setup_override
-            ? *setup_override
-            : models::defaultScenarioSetup(*identity.scenario, gen);
-    const auto &scenario = *identity.scenario;
-    auto ex = executeCase(std::move(identity),
-                          [&scenario](const models::RunSetup &setup) {
-                              return models::buildScenarioGraph(scenario,
-                                                                setup);
-                          });
-    ex.identity.units =
-        models::scenarioUnitsPerRun(scenario, ex.identity.setup);
-    return ex;
+    identity.setup = setup_override
+                         ? *setup_override
+                         : models::defaultScenarioSetup(scenario, gen);
+    identity.units = models::scenarioUnitsPerRun(scenario, identity.setup);
+    const auto &cfg = arch::npuConfig(gen);
+    compiler::CompileResult compiled;
+    {
+        obs::TraceRecorder::Span span("graph.build_compile", "sim");
+        compiled = compiler::compileGraph(
+            models::buildScenarioGraph(scenario, identity.setup), cfg);
+    }
+    obs::TraceRecorder::Span span("engine.execute", "sim");
+    Execution ex = Engine(cfg).execute(compiled.graph,
+                                       identity.setup.chips);
+    return {std::move(identity), std::move(ex)};
 }
 
 WorkloadReport
@@ -203,15 +168,6 @@ priceReport(ExecutedCase &&ex, const arch::GatingParams &params)
         ex.identity,
         priceExecution(ex.identity, std::move(ex.execution), params),
         params);
-}
-
-WorkloadReport
-simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
-                 const arch::GatingParams &params,
-                 const models::RunSetup *setup_override)
-{
-    return priceReport(executeWorkload(workload, gen, setup_override),
-                       params);
 }
 
 WorkloadReport

@@ -29,22 +29,19 @@ struct FleetParams
 
 struct ExecutedCase;
 
-/** One simulated workload on one generation. */
+/** One simulated scenario on one generation. */
 struct WorkloadReport
 {
-    models::Workload workload{};
+    /**
+     * The scenario simulated: a paper workload's
+     * models::builtinScenario or a custom spec. Always set on a
+     * simulated report. Shared, immutable — a report copy is still a
+     * pointer bump.
+     */
+    std::shared_ptr<const models::ScenarioSpec> scenario;
     arch::NpuGeneration gen{};
     models::RunSetup setup;
     double units = 0;  ///< Work units per run (tokens, images, ...).
-
-    /**
-     * Custom-scenario identity: null on the enum workload path (and
-     * `workload` is authoritative); set when the report came from
-     * simulateScenario over a registry-driven ScenarioSpec (and
-     * `workload` is a meaningless default). Shared, immutable — a
-     * report copy is still a pointer bump.
-     */
-    std::shared_ptr<const models::ScenarioSpec> scenario;
 
     /**
      * The simulated run, held by shared_ptr so copying a report (SLO
@@ -95,10 +92,10 @@ struct WorkloadReport
 
 /**
  * One case built, compiled and executed once: the report's identity
- * (workload or scenario, generation, setup, units; its run() reads
- * empty) plus the engine's Execution. priceReport turns it into a
- * full report under any gating params, so a sweep over gating points
- * pays for one execution.
+ * (scenario, generation, setup, units; its run() reads empty) plus
+ * the engine's Execution. priceReport turns it into a full report
+ * under any gating params, so a sweep over gating points pays for one
+ * execution.
  */
 struct ExecutedCase
 {
@@ -107,16 +104,7 @@ struct ExecutedCase
 };
 
 /**
- * Build, compile and execute @p workload on @p gen, with defaultSetup
- * unless @p setup_override is given.
- */
-ExecutedCase executeWorkload(models::Workload workload,
-                             arch::NpuGeneration gen,
-                             const models::RunSetup *setup_override =
-                                 nullptr);
-
-/**
- * executeWorkload for a registry-driven custom scenario, with
+ * Build, compile and execute @p spec on @p gen, with
  * defaultScenarioSetup unless @p setup_override is given. @p spec
  * must be a validated spec (parseSpecText/validateScenario have run).
  */
@@ -135,20 +123,24 @@ WorkloadReport priceReport(ExecutedCase &&ex,
                            const arch::GatingParams &params);
 
 /**
- * Build, compile, and simulate @p workload on @p gen:
- * priceReport(executeWorkload(...), params).
+ * Build, compile, and simulate @p spec on @p gen:
+ * priceReport(executeScenario(...), params).
  */
-WorkloadReport simulateWorkload(models::Workload workload,
-                                arch::NpuGeneration gen,
-                                const arch::GatingParams &params = {},
-                                const models::RunSetup *setup_override =
-                                    nullptr);
-
-/** simulateWorkload for a registry-driven custom scenario. */
 WorkloadReport simulateScenario(
     std::shared_ptr<const models::ScenarioSpec> spec,
     arch::NpuGeneration gen, const arch::GatingParams &params = {},
     const models::RunSetup *setup_override = nullptr);
+
+/** simulateScenario of a paper workload; perfbench/layer_trace.cc
+ *  and the tests call it. */
+inline WorkloadReport
+simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
+                 const arch::GatingParams &params = {},
+                 const models::RunSetup *setup_override = nullptr)
+{
+    return simulateScenario(models::builtinScenario(workload), gen,
+                            params, setup_override);
+}
 
 /** Idle power of a jobless chip under a policy (used by Fig. 24). */
 double idleStaticPower(const energy::PowerModel &power,

@@ -20,25 +20,20 @@ secondsPerUnit(const WorkloadReport &rep)
 }  // namespace
 
 double
-sloTargetSecondsPerUnit(models::Workload workload)
-{
-    // 1x SLO: 5x the latency of the default configuration on the
-    // minimum number of NPU-D chips (§3).
-    auto rep = simulateWorkload(workload, arch::NpuGeneration::D);
-    return 5.0 * secondsPerUnit(rep);
-}
-
-double
 sloTargetSecondsPerUnit(
     const std::shared_ptr<const models::ScenarioSpec> &spec)
 {
+    // 1x SLO: 5x the latency of the default configuration on the
+    // minimum number of NPU-D chips (§3).
     auto rep = simulateScenario(spec, arch::NpuGeneration::D);
     return 5.0 * secondsPerUnit(rep);
 }
 
 std::vector<models::RunSetup>
-candidateSetupsFrom(const models::RunSetup &base)
+candidateSetups(const models::ScenarioSpec &spec,
+                arch::NpuGeneration gen)
 {
+    const auto base = models::defaultScenarioSetup(spec, gen);
     std::vector<models::RunSetup> out;
     for (int chip_mul : {1, 2, 4}) {
         for (int batch_div : {4, 2, 1}) {
@@ -61,19 +56,6 @@ candidateSetupsFrom(const models::RunSetup &base)
         }
     }
     return out;
-}
-
-std::vector<models::RunSetup>
-candidateSetups(models::Workload workload, arch::NpuGeneration gen)
-{
-    return candidateSetupsFrom(models::defaultSetup(workload, gen));
-}
-
-std::vector<models::RunSetup>
-candidateSetups(const models::ScenarioSpec &spec,
-                arch::NpuGeneration gen)
-{
-    return candidateSetupsFrom(models::defaultScenarioSetup(spec, gen));
 }
 
 namespace {
@@ -143,40 +125,6 @@ selectBest(const std::vector<models::RunSetup> &candidates,
 }  // namespace
 
 SloResult
-findBestSetup(models::Workload workload, arch::NpuGeneration gen,
-              const arch::GatingParams &params, ThreadPool *pool)
-{
-    double target = sloTargetSecondsPerUnit(workload);
-    auto candidates = candidateSetups(workload, gen);
-    REGATE_CHECK(!candidates.empty(), "no candidate setups");
-
-    // Capture by value: queued tasks may outlive this frame if an
-    // earlier future rethrows (see parallelMapOrdered).
-    auto reports = parallelMapOrdered(
-        pool ? *pool : candidatePool(), candidates,
-        [workload, gen, params](const models::RunSetup &setup) {
-            return simulateWorkload(workload, gen, params, &setup);
-        });
-    return selectBest(candidates, reports, target);
-}
-
-SloResult
-findBestSetupSerial(models::Workload workload, arch::NpuGeneration gen,
-                    const arch::GatingParams &params)
-{
-    double target = sloTargetSecondsPerUnit(workload);
-    auto candidates = candidateSetups(workload, gen);
-    REGATE_CHECK(!candidates.empty(), "no candidate setups");
-
-    std::vector<WorkloadReport> reports;
-    reports.reserve(candidates.size());
-    for (const auto &setup : candidates)
-        reports.push_back(simulateWorkload(workload, gen, params,
-                                           &setup));
-    return selectBest(candidates, reports, target);
-}
-
-SloResult
 findBestSetup(std::shared_ptr<const models::ScenarioSpec> spec,
               arch::NpuGeneration gen,
               const arch::GatingParams &params, ThreadPool *pool)
@@ -185,6 +133,8 @@ findBestSetup(std::shared_ptr<const models::ScenarioSpec> spec,
     auto candidates = candidateSetups(*spec, gen);
     REGATE_CHECK(!candidates.empty(), "no candidate setups");
 
+    // Capture by value: queued tasks may outlive this frame if an
+    // earlier future rethrows (see parallelMapOrdered).
     auto reports = parallelMapOrdered(
         pool ? *pool : candidatePool(), candidates,
         [spec, gen, params](const models::RunSetup &setup) {

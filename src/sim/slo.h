@@ -1,6 +1,6 @@
 /**
  * @file
- * SLO-compliant configuration search (§3, Table 4): for each workload
+ * SLO-compliant configuration search (§3, Table 4): for each scenario
  * and NPU generation, find the most energy-efficient pod
  * configuration whose per-unit latency (or training throughput) meets
  * the SLO. The 1x SLO is defined as 5x the latency (1/5 the
@@ -18,7 +18,7 @@
 namespace regate {
 namespace sim {
 
-/** Outcome of the search for one (workload, generation). */
+/** Outcome of the search for one (scenario, generation). */
 struct SloResult
 {
     models::RunSetup setup;
@@ -29,18 +29,16 @@ struct SloResult
     WorkloadReport report;       ///< The winning simulation.
 };
 
-/** Seconds-per-unit at the 1x SLO for @p workload. */
-double sloTargetSecondsPerUnit(models::Workload workload);
-
-/** The 1x SLO of a registry-driven custom scenario (same rule). */
+/** Seconds-per-unit at the 1x SLO of @p spec. */
 double sloTargetSecondsPerUnit(
     const std::shared_ptr<const models::ScenarioSpec> &spec);
 
 /**
- * Search candidate setups (chip counts around Table 4, halved/doubled
- * batches) on @p gen; returns the most energy-efficient compliant
- * configuration, or the fastest one with its attained (relaxed) SLO
- * ratio if none complies — mirroring the "2x" labels in Fig. 2.
+ * Search candidate setups (chip counts around the spec's anchor,
+ * halved/quartered batches) on @p gen; returns the most
+ * energy-efficient compliant configuration, or the fastest one with
+ * its attained (relaxed) SLO ratio if none complies — mirroring the
+ * "2x" labels in Fig. 2.
  *
  * The candidate evaluations fan out on @p pool (nullptr picks a
  * process-wide pool sized by REGATE_THREADS / hardware concurrency,
@@ -49,42 +47,42 @@ double sloTargetSecondsPerUnit(
  * the serial loop over the input-ordered results, so ties break
  * identically to findBestSetupSerial at any thread count.
  */
-SloResult findBestSetup(models::Workload workload,
-                        arch::NpuGeneration gen,
-                        const arch::GatingParams &params = {},
-                        ThreadPool *pool = nullptr);
-
-/** Serial reference implementation (equivalence tests). */
-SloResult findBestSetupSerial(models::Workload workload,
-                              arch::NpuGeneration gen,
-                              const arch::GatingParams &params = {});
-
-/** findBestSetup for a registry-driven custom scenario. */
 SloResult findBestSetup(
     std::shared_ptr<const models::ScenarioSpec> spec,
     arch::NpuGeneration gen, const arch::GatingParams &params = {},
     ThreadPool *pool = nullptr);
 
-/** Serial reference implementation of the scenario search. */
+/** Serial reference implementation (equivalence tests). */
 SloResult findBestSetupSerial(
     std::shared_ptr<const models::ScenarioSpec> spec,
     arch::NpuGeneration gen, const arch::GatingParams &params = {});
 
-/** Candidate setups the search explores (exposed for tests). */
-std::vector<models::RunSetup> candidateSetups(models::Workload workload,
-                                              arch::NpuGeneration gen);
+/** findBestSetupSerial of a paper workload; perfbench/layer_trace.cc
+ *  and the tests call it. */
+inline SloResult
+findBestSetupSerial(models::Workload workload, arch::NpuGeneration gen,
+                    const arch::GatingParams &params = {})
+{
+    return findBestSetupSerial(models::builtinScenario(workload), gen,
+                               params);
+}
 
-/** Scenario-path candidates (around defaultScenarioSetup). */
+/**
+ * Candidate setups the search explores (exposed for tests): chip
+ * counts around defaultScenarioSetup (1x/2x/4x), batches
+ * halved/quartered, parallelism re-split by growing dp with the extra
+ * chips, dp > batch candidates skipped.
+ */
 std::vector<models::RunSetup> candidateSetups(
     const models::ScenarioSpec &spec, arch::NpuGeneration gen);
 
-/**
- * The one candidate enumerator both paths share: chip counts around
- * @p base (1x/2x/4x), batches halved/quartered, parallelism re-split
- * by growing dp with the extra chips, dp > batch candidates skipped.
- */
-std::vector<models::RunSetup> candidateSetupsFrom(
-    const models::RunSetup &base);
+/** candidateSetups of a paper workload; perfbench/layer_trace.cc and
+ *  the tests call it. */
+inline std::vector<models::RunSetup>
+candidateSetups(models::Workload workload, arch::NpuGeneration gen)
+{
+    return candidateSetups(*models::builtinScenario(workload), gen);
+}
 
 }  // namespace sim
 }  // namespace regate

@@ -30,11 +30,8 @@ namingCase(const SweepCase &c, Fn &&fn)
         if (msg.compare(0, kPrefix.size(), kPrefix) == 0)
             msg.erase(0, kPrefix.size());
         throw ConfigError(detail::concat(
-            "scenario '",
-            c.scenario ? c.scenario->name
-                       : models::workloadName(c.workload),
-            "' on generation ", arch::generationName(c.gen), ": ",
-            msg));
+            "scenario '", c.spec()->name, "' on generation ",
+            arch::generationName(c.gen), ": ", msg));
     }
 }
 
@@ -69,18 +66,14 @@ class ProgressTicker
 };
 
 /**
- * Do @p a and @p b run the same execution: same scenario (or paper
- * workload), generation and setup? They may differ in params only.
+ * Do @p a and @p b run the same execution: same scenario, generation
+ * and setup? They may differ in params only.
  */
 bool
 sameExecution(const SweepCase &a, const SweepCase &b)
 {
-    if (a.scenario != b.scenario || a.gen != b.gen ||
-        a.hasSetup != b.hasSetup)
-        return false;
-    if (!a.scenario && a.workload != b.workload)
-        return false;
-    return !a.hasSetup || a.setup == b.setup;
+    return a.spec() == b.spec() && a.gen == b.gen &&
+           a.hasSetup == b.hasSetup && (!a.hasSetup || a.setup == b.setup);
 }
 
 /** Cases [begin, end) of a grid that share one execution. */
@@ -109,15 +102,6 @@ groupCases(const std::vector<SweepCase> &cases)
     return groups;
 }
 
-ExecutedCase
-executeCase(const SweepCase &c)
-{
-    const auto *setup = c.hasSetup ? &c.setup : nullptr;
-    if (c.scenario)
-        return executeScenario(c.scenario, c.gen, setup);
-    return executeWorkload(c.workload, c.gen, setup);
-}
-
 /**
  * One group: build, compile and execute once, then price each case
  * (the last one consumes the execution). @p tick runs after each.
@@ -126,8 +110,11 @@ std::vector<WorkloadReport>
 runGroup(const std::vector<SweepCase> &cases, CaseGroup g,
          ProgressTicker &tick)
 {
-    ExecutedCase ex = namingCase(cases[g.begin],
-                                 [&] { return executeCase(cases[g.begin]); });
+    const auto &first = cases[g.begin];
+    ExecutedCase ex = namingCase(first, [&] {
+        return executeScenario(first.spec(), first.gen,
+                               first.hasSetup ? &first.setup : nullptr);
+    });
     std::vector<WorkloadReport> out;
     out.reserve(g.end - g.begin);
     for (std::size_t i = g.begin; i < g.end; ++i) {
@@ -154,25 +141,6 @@ flatten(std::vector<std::vector<WorkloadReport>> parts, std::size_t n)
 }
 
 }  // namespace
-
-std::vector<SweepCase>
-makeGrid(const std::vector<models::Workload> &workloads,
-         const std::vector<arch::NpuGeneration> &gens,
-         const arch::GatingParams &params)
-{
-    std::vector<SweepCase> grid;
-    grid.reserve(workloads.size() * gens.size());
-    for (auto w : workloads) {
-        for (auto gen : gens) {
-            SweepCase c;
-            c.workload = w;
-            c.gen = gen;
-            c.params = params;
-            grid.push_back(std::move(c));
-        }
-    }
-    return grid;
-}
 
 void
 applyScenarioGating(arch::GatingParams *params,
@@ -203,16 +171,7 @@ scenarioCase(std::shared_ptr<const models::ScenarioSpec> spec,
     c.gen = gen;
     c.params = params;
     applyScenarioGating(&c.params, *spec);
-    // A spec identical to a paper workload runs as that workload:
-    // the case (and therefore any golden comparison) is
-    // byte-identical to the enum-driven grid. Gating
-    // overrides ride in c.params either way.
-    models::Workload w;
-    if (models::builtinWorkloadOf(*spec, &w)) {
-        c.workload = w;
-        return c;
-    }
-    c.scenario = std::move(spec);
+    c.scenario = models::canonicalScenario(std::move(spec));
     return c;
 }
 
@@ -250,9 +209,7 @@ SweepRunner::search(const std::vector<SweepCase> &cases,
     ProgressTicker tick(progress, cases.size());
     return parallelMapOrdered(pool_, cases, [&](const SweepCase &c) {
         auto result = namingCase(c, [&] {
-            if (c.scenario)
-                return findBestSetup(c.scenario, c.gen, c.params);
-            return findBestSetup(c.workload, c.gen, c.params);
+            return findBestSetup(c.spec(), c.gen, c.params);
         });
         tick();
         return result;

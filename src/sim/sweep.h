@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel sweep runner: fans (workload x NPU generation x gating
+ * Parallel sweep runner: fans (scenario x NPU generation x gating
  * params x pod setup) grids out across a worker pool and returns
  * results in the exact order of the input grid, so a parallel sweep is
  * a drop-in replacement for the serial loop the figure binaries used
@@ -32,30 +32,32 @@ using ::regate::parallelMapOrdered;
 /** One grid point of a sweep. */
 struct SweepCase
 {
+    /**
+     * A paper workload, read only while `scenario` is null; kept for
+     * perfbench/layer_trace.cc, which builds cases by setting it.
+     */
     models::Workload workload{};
     arch::NpuGeneration gen{};
     arch::GatingParams params;
 
-    /** Pod/batch override; defaultSetup(workload, gen) when unset. */
+    /** Pod/batch override; defaultScenarioSetup when unset. */
     bool hasSetup = false;
     models::RunSetup setup;
 
     /**
-     * Registry-driven custom scenario; null = enum workload path.
-     * When set, `workload` is ignored and the case is simulated (or
-     * SLO-searched) through simulateScenario/findBestSetup over the
-     * spec. scenarioCase() normalizes specs that are identical to a
-     * paper workload back onto the enum, so spec-driven grids of
-     * built-in scenarios render byte-identical to enum grids.
+     * The scenario to simulate (or SLO-search): a paper workload's
+     * models::builtinScenario or a custom spec. Read it through
+     * spec().
      */
     std::shared_ptr<const models::ScenarioSpec> scenario;
-};
 
-/** Dense (workloads x generations) grid in row-major workload order. */
-std::vector<SweepCase> makeGrid(
-    const std::vector<models::Workload> &workloads,
-    const std::vector<arch::NpuGeneration> &gens,
-    const arch::GatingParams &params = {});
+    /** `scenario`, or builtinScenario(workload) when it is null. */
+    const std::shared_ptr<const models::ScenarioSpec> &
+    spec() const
+    {
+        return scenario ? scenario : models::builtinScenario(workload);
+    }
+};
 
 /**
  * Overlay a scenario's gating overrides (logic_off, sram_sleep,
@@ -67,9 +69,9 @@ void applyScenarioGating(arch::GatingParams *params,
 
 /**
  * One grid point for @p spec on @p gen: @p params plus the spec's
- * gating overrides. A spec whose identity matches a paper workload
- * (models::builtinWorkloadOf) comes back as a plain enum case, so
- * running a built-in spec is bitwise the enum run.
+ * gating overrides. A spec identical to a paper workload runs as that
+ * workload's builtinScenario (models::canonicalScenario), so it
+ * shares the built-in's name and groups with it.
  */
 SweepCase scenarioCase(std::shared_ptr<const models::ScenarioSpec> spec,
                        arch::NpuGeneration gen,
@@ -104,8 +106,8 @@ class SweepRunner
 
     /**
      * Simulate every case; results are index-aligned with @p cases.
-     * Each maximal run of adjacent cases with the same scenario (or
-     * workload), generation and setup is one pool task: it builds,
+     * Each maximal run of adjacent cases with the same scenario,
+     * generation and setup is one pool task: it builds,
      * compiles and executes once, then prices once per case.
      */
     std::vector<WorkloadReport> run(

@@ -56,7 +56,8 @@ TEST(Carbon, ReductionOrderingAcrossPolicies)
 
 TEST(Carbon, AnnualEfficiencyFactorInRange)
 {
-    double f = annualEfficiencyFactor(Workload::Prefill8B);
+    double f = annualEfficiencyFactor(
+        models::builtinScenario(Workload::Prefill8B));
     EXPECT_GT(f, 0.5);
     EXPECT_LT(f, 1.0);
 }

@@ -23,6 +23,16 @@ binary, the scenario and the generation. No run leaves stray files
 in its working directory. The binaries without a sweep grid (fig15, table2, table3)
 exit 2 on any argument, `--cases` included.
 
+Scenario specs end to end:
+
+- each of the 13 binaries whose default axis is the 17-workload
+  paper suite (fig02-09, fig17-20, table4) prints byte-identical
+  stdout under `--spec paper_suite.spec`, whose scenarios all
+  duplicate a paper workload;
+- every `*.spec` in the spec directory passes `--cases` and renders
+  with exit 0 on fig02;
+- `--list-generators` lists every built-in family.
+
 Every binary runs in a fresh temporary working directory.
 """
 
@@ -36,6 +46,19 @@ from pathlib import Path
 
 NO_GRID = {"fig15_setpm_timeline", "table2_npu_specs",
            "table3_delays_bets"}
+
+# The binaries whose default workload axis is the paper suite, in
+# paper_suite.spec's order.
+SUITE_AXIS = {"fig02_energy_efficiency", "fig03_energy_breakdown",
+              "fig04_sa_temporal_util", "fig05_sa_spatial_util",
+              "fig06_vu_temporal_util", "fig07_sram_demand_cdf",
+              "fig08_ici_temporal_util", "fig09_hbm_temporal_util",
+              "fig17_energy_savings", "fig18_power",
+              "fig19_perf_overhead", "fig20_setpm_rate",
+              "table4_slo_configs"}
+
+FAMILIES = ("diffusion", "dlrm", "llama-decode", "llama-prefill",
+            "llama-train", "moe")
 
 INFEASIBLE_SPEC = """@regate-spec v1
 
@@ -144,9 +167,41 @@ def check_grid_binary(binary, paper_spec, infeasible_spec):
                   f"the binary, scenario and generation: "
                   f"{proc.stderr!r}")
 
+        if name in SUITE_AXIS:
+            default = run([str(binary)], cwd)
+            spec = run([str(binary), "--spec", str(paper_spec)], cwd)
+            check(default.returncode == 0 and spec.returncode == 0 and
+                  default.stdout and spec.stdout == default.stdout,
+                  f"{name} --spec {paper_spec.name}: stdout must be "
+                  f"byte-identical to the default run (default "
+                  f"{describe(default)}; spec {describe(spec)})")
+
         left = sorted(p.name for p in Path(cwd).iterdir()
                       if p.name != "metrics.json")
         check(not left, f"{name} left files behind: {left}")
+
+
+def check_example_specs(fig02, spec_dir):
+    """Every example spec probes and renders on fig02."""
+    specs = sorted(spec_dir.glob("*.spec"))
+    check(specs, f"no example specs in {spec_dir}")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = run([str(fig02), "--list-generators"], cwd)
+        check(proc.returncode == 0 and
+              all(f"\n{family} — " in "\n" + proc.stdout
+                  for family in FAMILIES),
+              f"fig02 --list-generators: want every family in "
+              f"{FAMILIES}, got {describe(proc)}")
+        for spec in specs:
+            proc = run([str(fig02), "--spec", str(spec), "--cases"], cwd)
+            check(proc.returncode == 0 and
+                  re.fullmatch(r"[1-9][0-9]*\n", proc.stdout),
+                  f"fig02 --spec {spec.name} --cases: want a bare "
+                  f"positive integer, got {describe(proc)}")
+            proc = run([str(fig02), "--spec", str(spec)], cwd)
+            check(proc.returncode == 0 and proc.stdout,
+                  f"fig02 --spec {spec.name}: want exit 0 and a "
+                  f"render, got {describe(proc)}")
 
 
 def main():
@@ -156,7 +211,8 @@ def main():
     args = ap.parse_args()
 
     bin_dir = Path(args.bin_dir).resolve()
-    paper_spec = Path(args.spec_dir).resolve() / "paper_suite.spec"
+    spec_dir = Path(args.spec_dir).resolve()
+    paper_spec = spec_dir / "paper_suite.spec"
     binaries = sorted(
         p for p in bin_dir.iterdir()
         if re.match(r"(fig|table)\d+_", p.name) and p.is_file()
@@ -167,12 +223,16 @@ def main():
     check(len(grid) >= 19,
           f"expected the 19 grid binaries in {bin_dir}, found "
           f"{len(grid)}")
+    check(SUITE_AXIS <= names,
+          f"missing paper-suite binaries in {bin_dir}: "
+          f"{sorted(SUITE_AXIS - names)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         infeasible_spec = Path(tmp) / "infeasible.spec"
         infeasible_spec.write_text(INFEASIBLE_SPEC)
         for binary in grid:
             check_grid_binary(binary, paper_spec, infeasible_spec)
+    check_example_specs(bin_dir / "fig02_energy_efficiency", spec_dir)
 
     for binary in binaries:
         if binary.name not in NO_GRID:

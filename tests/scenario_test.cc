@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the declarative scenario engine (models/registry.h +
- * models/scenario.h): the enum path and the spec path must be ONE
- * code path — every paper workload simulated through its built-in
- * spec is bitwise-identical to the enum-driven run — and
+ * models/scenario.h): a paper workload IS its built-in scenario —
+ * any spec spelling it simulates bitwise-identically, normalizes onto
+ * the same models::builtinScenario pointer, and a sweep case naming
+ * only the workload runs, groups and names like that pointer — and
  * registry-only scenarios (MoE) run end to end without any enum
  * value existing for them.
  */
@@ -19,6 +20,7 @@
 #include "models/registry.h"
 #include "models/spec.h"
 #include "models/workload.h"
+#include "obs/metrics.h"
 #include "sim/report.h"
 #include "sim/sweep.h"
 
@@ -30,8 +32,8 @@ using arch::NpuGeneration;
 using models::ScenarioSpec;
 using models::Workload;
 
-/** Exact comparison of every field of two reports but the identity
- *  tag (workload enum vs scenario spec). */
+/** Exact comparison of every field of two reports but the scenario
+ *  pointer. */
 void
 expectSameReport(const WorkloadReport &a, const WorkloadReport &b,
                  const std::string &what)
@@ -82,20 +84,20 @@ expectSameReport(const WorkloadReport &a, const WorkloadReport &b,
     }
 }
 
-TEST(Scenario, EnumPathBitwiseEqualsSpecPathForAllWorkloads)
+TEST(Scenario, SpecCopyBitwiseEqualsBuiltinForAllWorkloads)
 {
-    // For every one of the 17 paper workloads, forcing the scenario
-    // path (spec kept, no builtin normalization) produces a report
-    // that is bitwise-identical to the enum path in every field but
-    // the identity tag — same setup, same energy, same op records.
+    // For every one of the 17 paper workloads, a copy of its built-in
+    // spec (another pointer, no normalization) produces a report that
+    // is bitwise-identical to the built-in scenario's in every field
+    // but the pointer — same setup, same energy, same op records.
     for (auto w : models::allWorkloads()) {
         auto spec = std::make_shared<const ScenarioSpec>(
             models::builtinSpec(w));
         auto rep = simulateScenario(spec, NpuGeneration::D);
-        ASSERT_TRUE(rep.scenario) << models::workloadName(w);
+        EXPECT_EQ(rep.scenario, spec) << models::workloadName(w);
 
         auto ref = simulateWorkload(w, NpuGeneration::D);
-        ASSERT_FALSE(ref.scenario);
+        EXPECT_EQ(ref.scenario, models::builtinScenario(w));
         expectSameReport(rep, ref, models::workloadName(w));
     }
 }
@@ -113,23 +115,80 @@ TEST(Scenario, BuiltinSpecsRoundTripToTheirWorkload)
 
 TEST(Scenario, ScenarioCaseNormalizesBuiltinDuplicates)
 {
-    // A spec identical to a paper workload becomes a plain enum case
-    // (so its serialization stays byte-identical to enum grids)...
+    // A spec identical to a paper workload becomes that workload's
+    // built-in scenario pointer...
     auto builtin = std::make_shared<const ScenarioSpec>(
         models::builtinSpec(Workload::DlrmM));
     auto c = scenarioCase(builtin, NpuGeneration::C);
-    EXPECT_FALSE(c.scenario);
-    EXPECT_EQ(c.workload, Workload::DlrmM);
+    EXPECT_EQ(c.scenario, models::builtinScenario(Workload::DlrmM));
+    EXPECT_EQ(c.spec(), c.scenario);
 
     // ...while a genuinely custom scenario keeps its spec identity.
     auto custom = *builtin;
     custom.batch = 64;
     models::validateScenario(custom);
-    auto cc = scenarioCase(
-        std::make_shared<const ScenarioSpec>(custom),
-        NpuGeneration::C);
-    ASSERT_TRUE(cc.scenario);
-    EXPECT_EQ(cc.scenario->batch, 64);
+    auto custom_ptr = std::make_shared<const ScenarioSpec>(custom);
+    auto cc = scenarioCase(custom_ptr, NpuGeneration::C);
+    EXPECT_EQ(cc.scenario, custom_ptr);
+}
+
+TEST(Scenario, WorkloadOnlyCaseRunsAsItsBuiltinScenario)
+{
+    // A case with only `workload` set resolves to the built-in
+    // scenario: same report, and it groups with scenarioCase cases of
+    // that workload, so five gating points cost one execution.
+    const auto w = Workload::DlrmS;
+    const auto &builtin = models::builtinScenario(w);
+    SweepCase bare;
+    bare.workload = w;
+    bare.gen = NpuGeneration::D;
+    ASSERT_EQ(bare.spec(), builtin);
+
+    auto ref = SweepRunner::runSerial(
+        {scenarioCase(builtin, NpuGeneration::D)});
+    auto got = SweepRunner::runSerial({bare});
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].scenario, builtin);
+    expectSameReport(got[0], ref[0], "workload-only case");
+
+    std::vector<SweepCase> grid;
+    for (double scale : {1.0, 1.5, 2.0, 3.0, 4.0}) {
+        arch::GatingParams p;
+        p.setDelayScale(scale);
+        // Alternate the two spellings of one scenario.
+        grid.push_back(grid.size() % 2
+                           ? scenarioCase(builtin, NpuGeneration::D, p)
+                           : bare);
+        grid.back().params = p;
+    }
+    auto &executions = obs::MetricsRegistry::instance().counter(
+        "sim.engine.executions");
+    auto before = executions.value();
+    auto reports = SweepRunner(2).run(grid);
+    EXPECT_EQ(executions.value() - before, 1u);
+    ASSERT_EQ(reports.size(), grid.size());
+    for (const auto &rep : reports)
+        EXPECT_EQ(rep.scenario, builtin);
+
+    // A setup no pod can run fails naming the workload.
+    SweepCase infeasible;
+    infeasible.workload = Workload::Prefill8B;
+    infeasible.gen = NpuGeneration::A;
+    infeasible.hasSetup = true;
+    infeasible.setup.chips = 2;
+    infeasible.setup.batch = 1;
+    infeasible.setup.par.dp = 2;
+    try {
+        SweepRunner::runSerial({infeasible});
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "scenario '" +
+                      models::workloadName(Workload::Prefill8B) +
+                      "' on generation A: "),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Scenario, GatingOverridesOverlayTheBaseParams)

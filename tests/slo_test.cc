@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "run_compare.h"
 #include "sim/slo.h"
 
@@ -16,12 +18,19 @@ namespace {
 using arch::NpuGeneration;
 using models::Workload;
 
+/** The built-in scenario of paper workload @p w. */
+const std::shared_ptr<const models::ScenarioSpec> &
+builtin(Workload w)
+{
+    return models::builtinScenario(w);
+}
+
 TEST(Slo, TargetIsFiveTimesDefaultLatency)
 {
     auto rep = simulateWorkload(Workload::DlrmS, NpuGeneration::D);
     double default_spu =
         rep.run().result(Policy::NoPG).seconds / rep.units;
-    EXPECT_NEAR(sloTargetSecondsPerUnit(Workload::DlrmS),
+    EXPECT_NEAR(sloTargetSecondsPerUnit(builtin(Workload::DlrmS)),
                 5.0 * default_spu, default_spu * 0.01);
 }
 
@@ -42,16 +51,17 @@ TEST(Slo, NpuDMeetsItsOwnSlo)
 {
     // The SLO is defined from NPU-D's default config at 5x latency:
     // NPU-D itself must comply with ratio 1.
-    auto res = findBestSetup(Workload::DlrmS, NpuGeneration::D);
+    auto res = findBestSetup(builtin(Workload::DlrmS), NpuGeneration::D);
     EXPECT_DOUBLE_EQ(res.sloRatio, 1.0);
     EXPECT_LE(res.secondsPerUnit,
-              sloTargetSecondsPerUnit(Workload::DlrmS) * 1.0001);
+              sloTargetSecondsPerUnit(builtin(Workload::DlrmS)) *
+                  1.0001);
 }
 
 TEST(Slo, PicksMostEfficientCompliant)
 {
-    auto res = findBestSetup(Workload::DlrmS, NpuGeneration::D);
-    double target = sloTargetSecondsPerUnit(Workload::DlrmS);
+    auto res = findBestSetup(builtin(Workload::DlrmS), NpuGeneration::D);
+    double target = sloTargetSecondsPerUnit(builtin(Workload::DlrmS));
     for (const auto &s : candidateSetups(Workload::DlrmS,
                                          NpuGeneration::D)) {
         auto rep = simulateWorkload(Workload::DlrmS, NpuGeneration::D,
@@ -68,7 +78,8 @@ TEST(Slo, OlderGenerationMayRelax)
 {
     // NPU-A on a big model: either compliant or reports a >= 2x
     // relaxed ratio like Fig. 2's bar labels.
-    auto res = findBestSetup(Workload::Prefill13B, NpuGeneration::A);
+    auto res =
+        findBestSetup(builtin(Workload::Prefill13B), NpuGeneration::A);
     EXPECT_GE(res.sloRatio, 1.0);
     EXPECT_GT(res.energyPerUnit, 0.0);
 }
@@ -84,7 +95,7 @@ TEST(ParallelFindBestSetup, MatchesSerialAtEveryThreadCount)
             auto serial = findBestSetupSerial(w, gen);
             for (unsigned threads : {1u, 2u, 8u}) {
                 ThreadPool pool(threads);
-                auto par = findBestSetup(w, gen, {}, &pool);
+                auto par = findBestSetup(builtin(w), gen, {}, &pool);
                 EXPECT_TRUE(par.setup == serial.setup)
                     << models::workloadName(w) << " threads="
                     << threads;
@@ -102,7 +113,8 @@ TEST(ParallelFindBestSetup, DefaultPoolMatchesSerial)
 {
     auto serial =
         findBestSetupSerial(Workload::DlrmM, NpuGeneration::C);
-    auto par = findBestSetup(Workload::DlrmM, NpuGeneration::C);
+    auto par =
+        findBestSetup(builtin(Workload::DlrmM), NpuGeneration::C);
     EXPECT_TRUE(par.setup == serial.setup);
     EXPECT_EQ(par.energyPerUnit, serial.energyPerUnit);
     EXPECT_EQ(par.sloRatio, serial.sloRatio);

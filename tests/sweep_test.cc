@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -110,9 +112,20 @@ TEST(Engine, PodSizeChangesCollectiveRun)
                             engine.params()));
 }
 
+/** scenarioGrid over paper workloads' built-in scenarios. */
+std::vector<SweepCase>
+builtinGrid(std::initializer_list<models::Workload> workloads,
+            const std::vector<arch::NpuGeneration> &gens)
+{
+    std::vector<std::shared_ptr<const models::ScenarioSpec>> specs;
+    for (auto w : workloads)
+        specs.push_back(models::builtinScenario(w));
+    return scenarioGrid(specs, gens);
+}
+
 TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
 {
-    auto grid = makeGrid({models::Workload::Prefill8B,
+    auto grid = builtinGrid({models::Workload::Prefill8B,
                           models::Workload::Decode8B,
                           models::Workload::DlrmS,
                           models::Workload::DiTXL},
@@ -126,7 +139,7 @@ TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].workload, parallel[i].workload);
+        EXPECT_EQ(serial[i].scenario, parallel[i].scenario);
         EXPECT_EQ(serial[i].gen, parallel[i].gen);
         EXPECT_EQ(serial[i].units, parallel[i].units);
         expectRunsIdentical(serial[i].run(), parallel[i].run());
@@ -140,14 +153,14 @@ TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
 
 TEST(SweepRunner, SearchMatchesSerialSearch)
 {
-    auto grid = makeGrid({models::Workload::DlrmS},
+    auto grid = builtinGrid({models::Workload::DlrmS},
                          {arch::NpuGeneration::C,
                           arch::NpuGeneration::D});
     SweepRunner runner(2);
     auto results = runner.search(grid);
     ASSERT_EQ(results.size(), 2u);
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        auto ref = findBestSetup(grid[i].workload, grid[i].gen,
+        auto ref = findBestSetup(grid[i].spec(), grid[i].gen,
                                  grid[i].params);
         EXPECT_EQ(results[i].setup.chips, ref.setup.chips);
         EXPECT_EQ(results[i].setup.batch, ref.setup.batch);
@@ -223,10 +236,10 @@ TEST(SweepGrouping, GroupedRunEqualsOneCaseGrids)
                   grid.size());
         ASSERT_EQ(grouped.size(), grid.size());
         for (std::size_t i = 0; i < grid.size(); ++i) {
-            SCOPED_TRACE(models::workloadName(grid[i].workload) +
+            SCOPED_TRACE(grid[i].spec()->name +
                          " point " + std::to_string(i % 10) +
                          " threads " + std::to_string(threads));
-            EXPECT_EQ(grouped[i].workload, alone[i].workload);
+            EXPECT_EQ(grouped[i].scenario, alone[i].scenario);
             EXPECT_TRUE(grouped[i].setup == alone[i].setup);
             EXPECT_EQ(grouped[i].units, alone[i].units);
             EXPECT_TRUE(grouped[i].gatingParams() == grid[i].params);
@@ -237,7 +250,7 @@ TEST(SweepGrouping, GroupedRunEqualsOneCaseGrids)
 
 TEST(SweepGrouping, ProgressTicksOncePerCaseInOrder)
 {
-    auto grid = makeGrid({models::Workload::DlrmS,
+    auto grid = builtinGrid({models::Workload::DlrmS,
                           models::Workload::Decode8B},
                          {arch::NpuGeneration::D});
     std::vector<SweepCase> cases;
@@ -288,7 +301,7 @@ TEST(SweepGrouping, CasesDifferingInSetupAreNotMerged)
                             SweepRunner::runSerial({grid[i]})[0].run());
 
     // The same workload on another generation is another execution.
-    std::vector<SweepCase> gens = makeGrid(
+    std::vector<SweepCase> gens = builtinGrid(
         {w}, {arch::NpuGeneration::C, arch::NpuGeneration::D});
     executions = engineCount("sim.engine.executions");
     SweepRunner::runSerial(gens);
@@ -308,7 +321,7 @@ TEST(SweepGrouping, ConfigErrorInsideAGroupNamesItsCase)
         "experts = 16\n"
         "chips = 1\n"
         "batch = 1\n");
-    auto grid = makeGrid({models::Workload::DlrmS},
+    auto grid = builtinGrid({models::Workload::DlrmS},
                          {arch::NpuGeneration::A});
     for (const auto &p : sensitivityPoints()) {
         grid.push_back(
