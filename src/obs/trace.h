@@ -7,8 +7,7 @@
  *
  * Off by default: recording is gated on one relaxed atomic flag, so
  * binaries run without `--trace-out` pay a single predictable branch
- * per instrumentation point (and nothing at all under
- * -DREGATE_OBS_DISABLED, via the REGATE_OBS macro of obs/metrics.h).
+ * per instrumentation point.
  * With `--trace-out FILE`, events buffer in memory — a span is two
  * timestamps and a name, recorded as one complete ("ph":"X") event
  * when its scope closes — and flush() writes the whole array sorted

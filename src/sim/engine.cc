@@ -216,15 +216,12 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
     run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
     run.opRecords.seal();
 
-    REGATE_OBS({
-        static obs::Counter &executions =
-            obs::MetricsRegistry::instance().counter(
-                "sim.engine.executions");
-        static obs::Counter &op_count =
-            obs::MetricsRegistry::instance().counter("sim.engine.ops");
-        executions.add(1);
-        op_count.add(ops);
-    });
+    static obs::Counter &executions =
+        obs::MetricsRegistry::instance().counter("sim.engine.executions");
+    static obs::Counter &op_count =
+        obs::MetricsRegistry::instance().counter("sim.engine.ops");
+    executions.add(1);
+    op_count.add(ops);
     return ex;
 }
 
@@ -334,12 +331,9 @@ Engine::priced(WorkloadRun run, const Execution &ex,
     for (auto p : allPolicies())
         evaluatePolicy(run, p, params, overheads);
 
-    REGATE_OBS({
-        static obs::Counter &pricings =
-            obs::MetricsRegistry::instance().counter(
-                "sim.engine.pricings");
-        pricings.add(1);
-    });
+    static obs::Counter &pricings =
+        obs::MetricsRegistry::instance().counter("sim.engine.pricings");
+    pricings.add(1);
     return run;
 }
 

@@ -15,7 +15,9 @@ without a sweep grid):
 
 fig21's default grid (5 workloads x 5 leakage settings) must report
 25 engine pricings from 5 executions: adjacent cases that differ only
-in gating params share one execution.
+in gating params share one execution. Its `--metrics-out` and
+`--trace-out` files must render through tools/report_html.py into a
+page that names every `sim.engine.*` counter.
 
 A spec the parser accepts but that no pod setup can run makes fig02
 (SLO search) and fig03 (plain run) exit 1 with a message naming the
@@ -75,6 +77,9 @@ DIGEST_KEY = '"digest": "'
 # fig21's default grid: one execution per workload, one pricing per
 # (workload, leakage setting).
 FIG21_COUNTERS = {"sim.engine.executions": 5, "sim.engine.pricings": 25}
+
+REPORT_HTML = Path(__file__).resolve().parent.parent / "tools" / \
+    "report_html.py"
 
 failures = []
 
@@ -204,6 +209,28 @@ def check_example_specs(fig02, spec_dir):
                   f"render, got {describe(proc)}")
 
 
+def check_html_report(fig21):
+    """fig21's metrics and trace render into one HTML report."""
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = run([str(fig21), "--metrics-out", "m.json",
+                    "--trace-out", "t.json"], cwd)
+        check(proc.returncode == 0,
+              f"{fig21.name} --metrics-out --trace-out: "
+              f"{describe(proc)}")
+        proc = run([sys.executable, str(REPORT_HTML), "--metrics",
+                    "m.json", "--trace", "t.json", "--out",
+                    "out.html"], cwd)
+        check(proc.returncode == 0,
+              f"report_html.py: {describe(proc)}")
+        page = Path(cwd, "out.html")
+        text = page.read_text() if page.exists() else ""
+        for counter in ("sim.engine.executions", "sim.engine.ops",
+                        "sim.engine.pricings"):
+            check(f"<td>{counter}</td>" in text,
+                  f"report_html.py: the report does not name "
+                  f"{counter}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--bin-dir", required=True)
@@ -233,6 +260,7 @@ def main():
         for binary in grid:
             check_grid_binary(binary, paper_spec, infeasible_spec)
     check_example_specs(bin_dir / "fig02_energy_efficiency", spec_dir)
+    check_html_report(bin_dir / "fig21_sens_leakage")
 
     for binary in binaries:
         if binary.name not in NO_GRID:

@@ -1,10 +1,17 @@
 /**
  * @file
- * Golden-figure regression harness: renders downsized fig03 / fig21 /
- * table3 configurations to canonical CSV at full double precision and
- * byte-compares against checked-in golden files, so cache or
- * parallelism changes can never silently drift the paper's reproduced
- * numbers — any change in any digit of any cell fails here.
+ * Golden-figure regression harness: renders downsized fig03 / fig04 /
+ * fig15 / fig18 / fig21 / fig24 / table3 configurations to canonical
+ * CSV at full double precision and byte-compares against checked-in
+ * golden files, so no code change can silently drift the paper's
+ * reproduced numbers — any change in any digit of any cell fails
+ * here.
+ *
+ * These goldens are not redundant with the stdout goldens
+ * (tests/stdout_golden_check.py). Every file except fig15's pins
+ * %.17g digits that the binaries' stdout rounds away, and fig15's
+ * file pins the cycle counts of a 4-tile instrumented kernel that no
+ * binary prints (fig15 itself runs 16 tiles).
  *
  * The goldens live in tests/golden/ (REGATE_GOLDEN_DIR, injected by
  * CMake). To regenerate after an *intentional* model change:

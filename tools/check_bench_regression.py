@@ -9,26 +9,26 @@ Usage:
 Exit codes: 0 = ok (or no previous file to compare against),
 1 = at least one *gated* case slowed down by more than --max-slowdown.
 
-The comparison uses each case's `speedup` (seed algorithm time over
-current implementation time, both measured in the same process on the
-same host), not raw `new_ns`: CI runs land on different runner
-machines, and the seed-replica baseline cancels machine speed out of
-the ratio. A case regresses when its speedup drops to less than
-(1 - max_slowdown) of the previous run's.
+The comparison uses each case's `speedup` (baseline time over current
+time, both measured in the same process on the same host), not raw
+`new_ns`: CI runs land on different runner machines, and the
+in-process baseline cancels machine speed out of the ratio. For the
+one core case, engine_price_many, the baseline (`seed_ns`) is five
+full simulations and the current time (`new_ns`) is one execution
+priced at five gating points. A case regresses when its speedup drops
+to less than (1 - max_slowdown) of the previous run's.
 
-Only cases marked `"gated": 1` in BENCH_core.json fail the build
-(the same set micro_benchmarks enforces its floors on); ungated
-cases — pool scaling — are machine-dependent and reported as SLOWER
-without failing. Cases whose time sits below
-the --min-ns clock-resolution floor are skipped (their ratios are
-dominated by timer noise), as are cases present in only one file (the
-case set is allowed to evolve).
+Only cases marked `"gated": 1` in BENCH_core.json fail the build;
+an ungated case is reported as SLOWER without failing. Cases whose
+time sits below the --min-ns clock-resolution floor are skipped
+(their ratios are dominated by timer noise), as are cases present in
+only one file (the case set is allowed to evolve).
 
 `--require NAME` (repeatable) asserts NAME is present and gated in
 the *current* file, and fails the build otherwise — even when there
-is no previous artifact to diff against. This keeps load-bearing
-cases (engine_price_many, BM_MetricsOverhead) from silently dropping
-out of the bench binary or losing their gate.
+is no previous artifact to diff against. This keeps a load-bearing
+case (engine_price_many) from silently dropping out of the bench
+binary or losing its gate.
 """
 
 import argparse
@@ -116,8 +116,7 @@ def main():
         status = "OK"
         if ratio < 1.0 - args.max_slowdown:
             # Only cases the bench itself gates hard-fail the build;
-            # ungated cases (pool scaling) are machine-dependent and
-            # reported for the trajectory.
+            # ungated cases are reported for the trajectory.
             if new.get("gated", 1):
                 status = "REGRESSED"
                 failed = True

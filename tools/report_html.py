@@ -13,8 +13,7 @@ trace-event timelines (obs::TraceRecorder). The report embeds
 everything inline — no external scripts, stylesheets, or fonts — so
 it can be archived as a CI artifact and opened anywhere:
 
-- counter/gauge tables and histogram rows with the canonical
-  p50/p95/p99 columns, plus pure-CSS bucket bar charts;
+- one counter table per snapshot;
 - an SVG lane timeline per trace (one row per pid/tid lane, spans as
   rectangles, instants as ticks), including the explicit sweep lane.
 """
@@ -45,50 +44,13 @@ def metrics_section(path, doc):
                  f"(obs={doc.get('obs')!r})")
     out = [f"<h2>Metrics — {esc(path)}</h2>"]
     counters = doc.get("counters", {})
-    gauges = doc.get("gauges", {})
-    if counters or gauges:
+    if counters:
         out.append("<table><tr><th>name</th><th>value</th></tr>")
         for name, value in sorted(counters.items()):
             out.append(f"<tr><td>{esc(name)}</td>"
                        f"<td class=num>{value}</td></tr>")
-        for name, value in sorted(gauges.items()):
-            out.append(f"<tr><td>{esc(name)} (gauge)</td>"
-                       f"<td class=num>{value}</td></tr>")
-        out.append("</table>")
-    hists = doc.get("histograms", {})
-    if hists:
-        out.append("<table><tr><th>histogram</th><th>count</th>"
-                   "<th>mean</th><th>p50</th><th>p95</th><th>p99</th>"
-                   "<th>buckets</th></tr>")
-        for name, h in sorted(hists.items()):
-            out.append(
-                f"<tr><td>{esc(name)}</td>"
-                f"<td class=num>{h['count']}</td>"
-                f"<td class=num>{h['mean']:.1f}</td>"
-                f"<td class=num>{h.get('p50', '-')}</td>"
-                f"<td class=num>{h.get('p95', '-')}</td>"
-                f"<td class=num>{h.get('p99', '-')}</td>"
-                f"<td>{bucket_bars(h)}</td></tr>")
         out.append("</table>")
     return "\n".join(out)
-
-
-def bucket_bars(h):
-    """Inline-CSS bar chart of one histogram's buckets."""
-    buckets = h.get("buckets", [])
-    bounds = h.get("bounds", [])
-    peak = max(buckets) if buckets else 0
-    if peak == 0:
-        return "<span class=dim>empty</span>"
-    bars = []
-    for i, n in enumerate(buckets):
-        label = (f"&le;{bounds[i]}" if i < len(bounds)
-                 else f"&gt;{bounds[-1]}")
-        height = max(1, round(36 * n / peak)) if n else 0
-        title = f"{label}: {n}"
-        bars.append(f"<span class=bar title='{esc(title)}' "
-                    f"style='height:{height}px'></span>")
-    return f"<span class=bars>{''.join(bars)}</span>"
 
 
 # ----------------------------- timeline ----------------------------
@@ -183,10 +145,6 @@ th, td { border: 1px solid #d0d4da; padding: .25em .6em;
 th { background: #eef1f5; }
 td.num { text-align: right; font-variant-numeric: tabular-nums; }
 .dim { color: #777; }
-.bars { display: inline-flex; align-items: flex-end; gap: 1px;
-        height: 38px; }
-.bar { display: inline-block; width: 7px; background: #4e79a7;
-       min-height: 0; }
 svg.timeline { width: 100%; background: #fafbfc;
                border: 1px solid #d0d4da; }
 svg .lane { font: 11px system-ui, sans-serif; fill: #555; }
