@@ -21,9 +21,11 @@ main(int argc, char **argv)
     TablePrinter t({"Workload", "Chips (search)", "Batch (search)",
                     "Chips (paper)", "Batch (paper)", "SLO",
                     "J/unit (NoPG)"});
-    // SLO-search every workload in parallel on the shared sweep pool
-    // (each search in turn fans its candidate setups out on the SLO
-    // candidate pool); results come back in workload order.
+    // SLO-search every workload in parallel on the shared sweep pool;
+    // results come back in workload order. Each workload's target is
+    // resolved once first; each search fans its candidate setups out
+    // on the SLO candidate pool, prices them for NoPG only, and fully
+    // prices only its winner.
     auto axis = bench::workloadAxis(models::allWorkloads());
     auto grid = bench::makeGrid(axis, {arch::NpuGeneration::D});
     auto results = bench::searchGrid(grid);

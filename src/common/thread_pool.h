@@ -8,6 +8,12 @@
  * sim/sweep.h collects futures in input order, which is what makes
  * parallel sweeps deterministic). Exceptions thrown by a task are
  * captured in its future and rethrown at get().
+ *
+ * A one-thread pool runs inline: it starts no worker, and submit()
+ * runs the task on the caller's thread and returns a ready future.
+ * Handing each task to a single worker and back would buy no
+ * parallelism, and running on the caller also lets a task fan out on
+ * its own one-thread pool without deadlocking.
  */
 
 #ifndef REGATE_COMMON_THREAD_POOL_H
@@ -36,11 +42,12 @@ class ThreadPool
      *                 hardware concurrency (min 1).
      */
     explicit ThreadPool(unsigned threads = 0)
+        : threads_(threads > 0 ? threads : defaultThreadCount())
     {
-        if (threads == 0)
-            threads = defaultThreadCount();
-        workers_.reserve(threads);
-        for (unsigned i = 0; i < threads; ++i)
+        if (threads_ == 1)
+            return;  // Inline: submit() runs tasks on the caller.
+        workers_.reserve(threads_);
+        for (unsigned i = 0; i < threads_; ++i)
             workers_.emplace_back([this] { workerLoop(); });
     }
 
@@ -58,12 +65,21 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue @p fn; the returned future yields its result. */
+    /**
+     * Enqueue @p fn; the returned future yields its result. A
+     * one-thread pool runs @p fn before returning.
+     */
     template <typename F>
     auto
     submit(F &&fn) -> std::future<std::invoke_result_t<F>>
     {
         using R = std::invoke_result_t<F>;
+        if (workers_.empty()) {
+            std::packaged_task<R()> task(std::forward<F>(fn));
+            std::future<R> fut = task.get_future();
+            task();
+            return fut;
+        }
         auto task = std::make_shared<std::packaged_task<R()>>(
             std::forward<F>(fn));
         std::future<R> fut = task->get_future();
@@ -75,11 +91,7 @@ class ThreadPool
         return fut;
     }
 
-    unsigned
-    threadCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
+    unsigned threadCount() const { return threads_; }
 
     /** Worker count an argument of 0 resolves to. */
     static unsigned
@@ -113,7 +125,8 @@ class ThreadPool
         }
     }
 
-    std::vector<std::thread> workers_;
+    unsigned threads_;
+    std::vector<std::thread> workers_;  ///< Empty when threads_ == 1.
     std::deque<std::function<void()>> queue_;
     std::mutex mu_;
     std::condition_variable cv_;
@@ -129,9 +142,10 @@ class ThreadPool
  * example by exiting, which destroys the statics tasks use). Each
  * task owns copies of @p fn and its item.
  *
- * Do not call this from a task already running on @p pool: the outer
- * task would block on futures that need the same workers (give nested
- * fan-outs their own pool instead).
+ * Do not call this from a task already running on a multi-thread
+ * @p pool: the outer task would block on futures that need the same
+ * workers (give nested fan-outs their own pool instead). A one-thread
+ * pool runs every task inline, so nesting on it is safe.
  */
 template <typename T, typename Fn>
 auto

@@ -131,45 +131,41 @@ void
 ActivityTimeline::mergeGaps(const std::vector<GapGroup> &other,
                             Cycles skip_length)
 {
-    if (other.empty()) {
-        REGATE_ASSERT(skip_length == 0,
-                      "mergeGaps: seam gap missing from other timeline");
-        return;
-    }
-
-    std::vector<GapGroup> merged;
-    merged.reserve(gaps_.size() + other.size());
-    auto push = [&merged](Cycles length, std::uint64_t count) {
-        if (count == 0)
-            return;
-        if (!merged.empty() && merged.back().length == length)
-            merged.back().count += count;
-        else
-            merged.push_back({length, count});
+    // Both lists are canonical (ascending, unique lengths, no zero
+    // counts), so the merge can run in place: count the lengths new
+    // to gaps_, grow it once, then merge from the back so no group is
+    // overwritten before it is moved. No allocation once gaps_ has
+    // the capacity.
+    auto count_of = [skip_length](const GapGroup &g) {
+        return g.count - (g.length == skip_length ? 1 : 0);
     };
-
     bool skipped = skip_length == 0;
-    std::size_t i = 0, j = 0;
-    while (i < gaps_.size() || j < other.size()) {
-        bool take_mine = j >= other.size() ||
-                         (i < gaps_.size() &&
-                          gaps_[i].length <= other[j].length);
-        if (take_mine) {
-            push(gaps_[i].length, gaps_[i].count);
+    std::size_t added = 0;
+    for (std::size_t i = 0, j = 0; j < other.size(); ++j) {
+        if (other[j].length == skip_length)
+            skipped = true;
+        while (i < gaps_.size() && gaps_[i].length < other[j].length)
             ++i;
-        } else {
-            std::uint64_t count = other[j].count;
-            if (!skipped && other[j].length == skip_length) {
-                --count;
-                skipped = true;
-            }
-            push(other[j].length, count);
-            ++j;
-        }
+        bool present = i < gaps_.size() && gaps_[i].length == other[j].length;
+        if (!present && count_of(other[j]) > 0)
+            ++added;
     }
     REGATE_ASSERT(skipped,
                   "mergeGaps: seam gap missing from other timeline");
-    gaps_ = std::move(merged);
+
+    std::size_t i = gaps_.size();
+    std::size_t k = i + added;
+    gaps_.resize(k);
+    for (std::size_t j = other.size(); j-- > 0;) {
+        std::uint64_t count = count_of(other[j]);
+        while (i > 0 && gaps_[i - 1].length > other[j].length)
+            gaps_[--k] = gaps_[--i];
+        if (i > 0 && gaps_[i - 1].length == other[j].length)
+            gaps_[--k] = {other[j].length, gaps_[--i].count + count};
+        else if (count > 0)
+            gaps_[--k] = {other[j].length, count};
+    }
+    // Groups below every length of @p other are already in place.
 }
 
 void

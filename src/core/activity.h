@@ -120,7 +120,7 @@ class ActivityTimeline
     void removeGaps(Cycles length, std::uint64_t count);
 
     /**
-     * Ordered-merge @p other into gaps_, dropping one gap of
+     * Ordered-merge @p other into gaps_ in place, dropping one gap of
      * @p skip_length from @p other (its seam-side gap). O(G).
      */
     void mergeGaps(const std::vector<GapGroup> &other, Cycles skip_length);

@@ -215,6 +215,12 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
     }
     run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
     run.opRecords.seal();
+    for (const auto &rec : run.opRecords) {
+        ex.peakNoPgW = std::max(
+            ex.peakNoPgW, opPower(rec, logicStaticPower(rec, 1.0), 1.0));
+        ex.peakIdealW = std::max(
+            ex.peakIdealW, opPower(rec, logicStaticPower(rec, 0.0), 0.0));
+    }
 
     static obs::Counter &executions =
         obs::MetricsRegistry::instance().counter("sim.engine.executions");
@@ -325,11 +331,35 @@ Engine::priced(WorkloadRun run, const Execution &ex,
             overheads[p] += block_ov[p] * eb.repeat;
     }
 
+    for (auto p : allPolicies()) {
+        auto i = static_cast<std::size_t>(p);
+        run.policies[i] = evaluatePolicy(run, p, params, overheads[i]);
+    }
+    auto &full = run.policies[static_cast<std::size_t>(Policy::Full)];
     // SRAM resize setpm pairs (Full only; reported in Fig. 20).
-    run.policies[static_cast<std::size_t>(Policy::Full)].sramSetpmPairs =
-        ex.sramResizes;
-    for (auto p : allPolicies())
-        evaluatePolicy(run, p, params, overheads);
+    full.sramSetpmPairs = ex.sramResizes;
+
+    // Peak power: the most power-hungry operator (Fig. 18). Base and
+    // HW leak alike, and Full differs from them only in its SRAM.
+    const auto &ratios = params.ratios();
+    double peak_base = 0;
+    double peak_full = 0;
+    for (const auto &rec : run.opRecords) {
+        double logic = logicStaticPower(rec, ratios.logicOff);
+        peak_base =
+            std::max(peak_base, opPower(rec, logic, ratios.sramSleep));
+        peak_full =
+            std::max(peak_full, opPower(rec, logic, ratios.sramOff));
+    }
+    run.policies[static_cast<std::size_t>(Policy::NoPG)].peakPowerW =
+        ex.peakNoPgW;
+    run.policies[static_cast<std::size_t>(Policy::Base)].peakPowerW =
+        peak_base;
+    run.policies[static_cast<std::size_t>(Policy::HW)].peakPowerW =
+        peak_base;
+    full.peakPowerW = peak_full;
+    run.policies[static_cast<std::size_t>(Policy::Ideal)].peakPowerW =
+        ex.peakIdealW;
 
     static obs::Counter &pricings =
         obs::MetricsRegistry::instance().counter("sim.engine.pricings");
@@ -337,13 +367,21 @@ Engine::priced(WorkloadRun run, const Execution &ex,
     return run;
 }
 
-void
-Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
-                       const arch::GatingParams &params,
-                       const std::array<Cycles, kNumPolicies>
-                           &overheads) const
+PolicyResult
+Engine::priceNoPg(const Execution &ex,
+                  const arch::GatingParams &params) const
 {
-    auto &res = run.policies[static_cast<std::size_t>(policy)];
+    PolicyResult res = evaluatePolicy(ex.run, Policy::NoPG, params, 0);
+    res.peakPowerW = ex.peakNoPgW;
+    return res;
+}
+
+PolicyResult
+Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
+                       const arch::GatingParams &params,
+                       Cycles overhead) const
+{
+    PolicyResult res;
     res.policy = policy;
     const double tau = cfg_.cycleTime();
     const auto &ratios = params.ratios();
@@ -460,7 +498,7 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
     e.dynamicJ = power_.dynamicEnergy(run.work);
 
     // ---- Performance overhead ----
-    res.overheadCycles = overheads[static_cast<std::size_t>(policy)];
+    res.overheadCycles = overhead;
     res.perfOverhead =
         run.cycles > 0 ? static_cast<double>(res.overheadCycles) /
                              static_cast<double>(run.cycles)
@@ -478,35 +516,31 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
 
     res.energy = e;
     res.avgPowerW = e.busyTotal() / res.seconds;
+    return res;
+}
 
-    // ---- Peak power: most power-hungry operator (Fig. 18) ----
-    double peak = 0;
-    for (const auto &rec : run.opRecords) {
-        double dur_s = static_cast<double>(rec.duration()) * tau;
-        double p_static = 0;
-        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
-                       Component::Ici}) {
-            double leak_c =
-                policy == Policy::NoPG ? 1.0
-                : policy == Policy::Ideal ? 0.0
-                                          : ratios.logicOff;
-            double pc = power_.staticPower(c);
-            p_static += pc * (rec.activeFrac(c) +
-                              (1.0 - rec.activeFrac(c)) * leak_c);
-        }
-        double sram_leak = policy == Policy::NoPG ? 1.0
-                           : policy == Policy::Ideal
-                               ? 0.0
-                               : (policy == Policy::Full
-                                      ? ratios.sramOff
-                                      : ratios.sramSleep);
-        p_static += power_.staticPower(Component::Sram) *
-                    (rec.sramUsedFrac() +
-                     (1.0 - rec.sramUsedFrac()) * sram_leak);
-        p_static += power_.staticPower(Component::Other);
-        peak = std::max(peak, p_static + rec.dynamicJ() / dur_s);
+double
+Engine::logicStaticPower(const OpRecordArena::Ref &rec, double leak) const
+{
+    double p = 0;
+    for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
+                   Component::Ici}) {
+        p += power_.staticPower(c) *
+             (rec.activeFrac(c) + (1.0 - rec.activeFrac(c)) * leak);
     }
-    res.peakPowerW = peak;
+    return p;
+}
+
+double
+Engine::opPower(const OpRecordArena::Ref &rec, double logic,
+                double sram_leak) const
+{
+    double p = logic + power_.staticPower(Component::Sram) *
+                           (rec.sramUsedFrac() +
+                            (1.0 - rec.sramUsedFrac()) * sram_leak);
+    p += power_.staticPower(Component::Other);
+    double dur_s = static_cast<double>(rec.duration()) * cfg_.cycleTime();
+    return p + rec.dynamicJ() / dur_s;
 }
 
 }  // namespace sim

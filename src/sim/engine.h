@@ -257,6 +257,10 @@ struct Execution
     WorkloadRun run;  ///< Policy table left default.
     std::vector<Block> blocks;
     std::uint64_t sramResizes = 0;  ///< Whole run; Full's setpm pairs.
+    /** NoPG's and Ideal's peak power, watts: they read no gating
+     *  parameter (idle units leak fully or not at all). */
+    double peakNoPgW = 0;
+    double peakIdealW = 0;
 };
 
 /** The engine. */
@@ -291,6 +295,14 @@ class Engine
     WorkloadRun price(Execution &&ex,
                       const arch::GatingParams &params) const;
 
+    /**
+     * NoPG's row of price(ex, params), computed alone: NoPG gates
+     * nothing, so it charges no wake-up overhead. Not counted as a
+     * pricing.
+     */
+    PolicyResult priceNoPg(const Execution &ex,
+                           const arch::GatingParams &params) const;
+
     /** No-op; perfbench/layer_trace.cc is the only caller. */
     void setMemoization(bool) {}
 
@@ -303,10 +315,21 @@ class Engine
     WorkloadRun priced(WorkloadRun run, const Execution &ex,
                        const arch::GatingParams &params) const;
 
-    void evaluatePolicy(WorkloadRun &run, Policy policy,
-                        const arch::GatingParams &params,
-                        const std::array<Cycles, kNumPolicies>
-                            &overheads) const;
+    /** @p policy's row for @p run, all but its peak power and its
+     *  SRAM setpm pairs. */
+    PolicyResult evaluatePolicy(const WorkloadRun &run, Policy policy,
+                                const arch::GatingParams &params,
+                                Cycles overhead) const;
+
+    /** SA+VU+HBM+ICI static power during @p rec, idle logic leaking
+     *  @p leak of its full static power, watts. */
+    double logicStaticPower(const OpRecordArena::Ref &rec,
+                            double leak) const;
+
+    /** Total power during @p rec (Fig. 18) given its logic static
+     *  power @p logic, idle SRAM leaking @p sram_leak, watts. */
+    double opPower(const OpRecordArena::Ref &rec, double logic,
+                   double sram_leak) const;
 
     const arch::NpuConfig &cfg_;
     arch::GatingParams params_;

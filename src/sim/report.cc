@@ -170,6 +170,23 @@ priceReport(ExecutedCase &&ex, const arch::GatingParams &params)
         params);
 }
 
+NoPgCost
+noPgCost(const ExecutedCase &ex, const arch::GatingParams &params)
+{
+    // A report whose run holds only the NoPG row, so J/unit goes
+    // through the same WorkloadReport arithmetic as a full report's.
+    WorkloadRun run;
+    {
+        obs::TraceRecorder::Span span("engine.price_nopg", "sim");
+        run.policies[static_cast<std::size_t>(Policy::NoPG)] =
+            Engine(arch::npuConfig(ex.identity.gen))
+                .priceNoPg(ex.execution, params);
+    }
+    auto rep = WorkloadReport::withRun(ex.identity, std::move(run), params);
+    return {rep.run().result(Policy::NoPG).seconds / rep.units,
+            rep.energyPerUnit(Policy::NoPG)};
+}
+
 WorkloadReport
 simulateScenario(std::shared_ptr<const models::ScenarioSpec> spec,
                  arch::NpuGeneration gen,

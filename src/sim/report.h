@@ -28,6 +28,7 @@ struct FleetParams
 };
 
 struct ExecutedCase;
+struct NoPgCost;
 
 /** One simulated scenario on one generation. */
 struct WorkloadReport
@@ -81,6 +82,8 @@ struct WorkloadReport
                                       const arch::GatingParams &);
     friend WorkloadReport priceReport(ExecutedCase &&,
                                       const arch::GatingParams &);
+    friend NoPgCost noPgCost(const ExecutedCase &,
+                             const arch::GatingParams &);
     /** @p identity carrying @p run and the @p params it was priced
      *  under. */
     static WorkloadReport withRun(const WorkloadReport &identity,
@@ -121,6 +124,21 @@ WorkloadReport priceReport(const ExecutedCase &ex,
                            const arch::GatingParams &params);
 WorkloadReport priceReport(ExecutedCase &&ex,
                            const arch::GatingParams &params);
+
+/** The two NoPG figures an SLO search compares candidates by. */
+struct NoPgCost
+{
+    double secondsPerUnit = 0;
+    double energyPerUnit = 0;  ///< WorkloadReport::energyPerUnit(NoPG).
+};
+
+/**
+ * NoPG seconds per unit and J/unit of @p ex under @p params, bitwise
+ * equal to what priceReport(ex, params) reports, without pricing the
+ * other four policies or copying the execution's run.
+ */
+NoPgCost noPgCost(const ExecutedCase &ex,
+                  const arch::GatingParams &params);
 
 /**
  * Build, compile, and simulate @p spec on @p gen:

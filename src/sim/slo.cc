@@ -9,24 +9,14 @@
 namespace regate {
 namespace sim {
 
-namespace {
-
-double
-secondsPerUnit(const WorkloadReport &rep)
-{
-    return rep.run().result(Policy::NoPG).seconds / rep.units;
-}
-
-}  // namespace
-
 double
 sloTargetSecondsPerUnit(
     const std::shared_ptr<const models::ScenarioSpec> &spec)
 {
     // 1x SLO: 5x the latency of the default configuration on the
     // minimum number of NPU-D chips (§3).
-    auto rep = simulateScenario(spec, arch::NpuGeneration::D);
-    return 5.0 * secondsPerUnit(rep);
+    auto ex = executeScenario(spec, arch::NpuGeneration::D);
+    return 5.0 * noPgCost(ex, {}).secondsPerUnit;
 }
 
 std::vector<models::RunSetup>
@@ -73,53 +63,66 @@ candidatePool()
     return pool;
 }
 
+/** One candidate setup, executed and costed for NoPG. */
+struct Candidate
+{
+    ExecutedCase ex;
+    NoPgCost cost;
+};
+
+Candidate
+runCandidate(const std::shared_ptr<const models::ScenarioSpec> &spec,
+             arch::NpuGeneration gen, const arch::GatingParams &params,
+             const models::RunSetup &setup)
+{
+    Candidate c{executeScenario(spec, gen, &setup), {}};
+    c.cost = noPgCost(c.ex, params);
+    return c;
+}
+
 /**
- * The serial winner-selection loop over input-ordered candidate
- * reports. Both the serial and the parallel search run exactly this
- * code, so tie-breaking (first strictly-better candidate wins) is
- * identical regardless of thread count or scheduling.
+ * The serial winner-selection loop over input-ordered candidates.
+ * Both the serial and the parallel search run exactly this code, so
+ * tie-breaking (first strictly-better candidate wins) is identical
+ * regardless of thread count or scheduling. Selection reads NoPG
+ * seconds and J/unit only; the winner's retained execution is then
+ * the one fully priced.
  */
 SloResult
-selectBest(const std::vector<models::RunSetup> &candidates,
-           const std::vector<WorkloadReport> &reports, double target)
+selectBest(const std::vector<models::RunSetup> &setups,
+           std::vector<Candidate> candidates, double target,
+           const arch::GatingParams &params)
 {
     bool have_compliant = false;
-    SloResult best;
-    SloResult fastest;
+    std::size_t best = 0;
+    std::size_t fastest = 0;
     double best_energy = 0;
     double fastest_latency = 0;
-
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const auto &setup = candidates[i];
-        const auto &rep = reports[i];
-        double spu = secondsPerUnit(rep);
-        double epu = rep.energyPerUnit(Policy::NoPG);
-
+        double spu = candidates[i].cost.secondsPerUnit;
+        double epu = candidates[i].cost.energyPerUnit;
         if (spu <= target && (!have_compliant || epu < best_energy)) {
-            best.setup = setup;
-            best.secondsPerUnit = spu;
-            best.energyPerUnit = epu;
-            best.sloRatio = 1.0;
-            best.report = rep;
+            best = i;
             best_energy = epu;
             have_compliant = true;
         }
         if (fastest_latency == 0 || spu < fastest_latency) {
-            fastest.setup = setup;
-            fastest.secondsPerUnit = spu;
-            fastest.energyPerUnit = epu;
-            fastest.report = rep;
+            fastest = i;
             fastest_latency = spu;
         }
     }
 
-    if (have_compliant)
-        return best;
-
+    std::size_t win = have_compliant ? best : fastest;
+    SloResult res;
+    res.setup = setups[win];
+    res.secondsPerUnit = candidates[win].cost.secondsPerUnit;
+    res.energyPerUnit = candidates[win].cost.energyPerUnit;
     // No compliant configuration: report the fastest with its
     // attained SLO multiple (Fig. 2's "2x" annotations).
-    fastest.sloRatio = std::ceil(fastest.secondsPerUnit / target);
-    return fastest;
+    res.sloRatio =
+        have_compliant ? 1.0 : std::ceil(res.secondsPerUnit / target);
+    res.report = priceReport(std::move(candidates[win].ex), params);
+    return res;
 }
 
 }  // namespace
@@ -130,17 +133,25 @@ findBestSetup(std::shared_ptr<const models::ScenarioSpec> spec,
               const arch::GatingParams &params, ThreadPool *pool)
 {
     double target = sloTargetSecondsPerUnit(spec);
-    auto candidates = candidateSetups(*spec, gen);
-    REGATE_CHECK(!candidates.empty(), "no candidate setups");
+    return findBestSetup(std::move(spec), gen, target, params, pool);
+}
+
+SloResult
+findBestSetup(std::shared_ptr<const models::ScenarioSpec> spec,
+              arch::NpuGeneration gen, double target,
+              const arch::GatingParams &params, ThreadPool *pool)
+{
+    auto setups = candidateSetups(*spec, gen);
+    REGATE_CHECK(!setups.empty(), "no candidate setups");
 
     // Capture by value: queued tasks may outlive this frame if an
     // earlier future rethrows (see parallelMapOrdered).
-    auto reports = parallelMapOrdered(
-        pool ? *pool : candidatePool(), candidates,
+    auto candidates = parallelMapOrdered(
+        pool ? *pool : candidatePool(), setups,
         [spec, gen, params](const models::RunSetup &setup) {
-            return simulateScenario(spec, gen, params, &setup);
+            return runCandidate(spec, gen, params, setup);
         });
-    return selectBest(candidates, reports, target);
+    return selectBest(setups, std::move(candidates), target, params);
 }
 
 SloResult
@@ -149,14 +160,14 @@ findBestSetupSerial(std::shared_ptr<const models::ScenarioSpec> spec,
                     const arch::GatingParams &params)
 {
     double target = sloTargetSecondsPerUnit(spec);
-    auto candidates = candidateSetups(*spec, gen);
-    REGATE_CHECK(!candidates.empty(), "no candidate setups");
+    auto setups = candidateSetups(*spec, gen);
+    REGATE_CHECK(!setups.empty(), "no candidate setups");
 
-    std::vector<WorkloadReport> reports;
-    reports.reserve(candidates.size());
-    for (const auto &setup : candidates)
-        reports.push_back(simulateScenario(spec, gen, params, &setup));
-    return selectBest(candidates, reports, target);
+    std::vector<Candidate> candidates;
+    candidates.reserve(setups.size());
+    for (const auto &setup : setups)
+        candidates.push_back(runCandidate(spec, gen, params, setup));
+    return selectBest(setups, std::move(candidates), target, params);
 }
 
 }  // namespace sim

@@ -29,7 +29,8 @@ struct SloResult
     WorkloadReport report;       ///< The winning simulation.
 };
 
-/** Seconds-per-unit at the 1x SLO of @p spec. */
+/** Seconds-per-unit at the 1x SLO of @p spec: one execution of the
+ *  gen-D default setup, priced for NoPG only. */
 double sloTargetSecondsPerUnit(
     const std::shared_ptr<const models::ScenarioSpec> &spec);
 
@@ -39,6 +40,11 @@ double sloTargetSecondsPerUnit(
  * energy-efficient compliant configuration, or the fastest one with
  * its attained (relaxed) SLO ratio if none complies — mirroring the
  * "2x" labels in Fig. 2.
+ *
+ * Each candidate is executed once and priced for NoPG only, since
+ * selection compares NoPG seconds and J/unit; the winner's retained
+ * execution alone gets the full five-policy price (SloResult::report),
+ * bitwise equal to simulateScenario of the winning setup.
  *
  * The candidate evaluations fan out on @p pool (nullptr picks a
  * process-wide pool sized by REGATE_THREADS / hardware concurrency,
@@ -51,6 +57,17 @@ SloResult findBestSetup(
     std::shared_ptr<const models::ScenarioSpec> spec,
     arch::NpuGeneration gen, const arch::GatingParams &params = {},
     ThreadPool *pool = nullptr);
+
+/**
+ * findBestSetup against a known 1x SLO @p target, which must be
+ * sloTargetSecondsPerUnit(spec). The target depends on the scenario
+ * only, so SweepRunner::search resolves it once per scenario and
+ * shares it across generations.
+ */
+SloResult findBestSetup(
+    std::shared_ptr<const models::ScenarioSpec> spec,
+    arch::NpuGeneration gen, double target,
+    const arch::GatingParams &params, ThreadPool *pool = nullptr);
 
 /** Serial reference implementation (equivalence tests). */
 SloResult findBestSetupSerial(

@@ -1,8 +1,10 @@
 #include "sim/sweep.h"
 
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "arch/npu_config.h"
@@ -206,10 +208,42 @@ std::vector<SloResult>
 SweepRunner::search(const std::vector<SweepCase> &cases,
                     const SweepProgress &progress)
 {
+    // Every generation of a scenario shares one 1x SLO target, so
+    // resolve each distinct scenario's target once, then fan the
+    // searches out. A failed target is rethrown by each of its cases,
+    // so the first failing case in grid order still names the error.
+    std::vector<std::shared_ptr<const models::ScenarioSpec>> specs;
+    std::unordered_map<const models::ScenarioSpec *, std::size_t>
+        target_of;
+    for (const auto &c : cases) {
+        if (target_of.emplace(c.spec().get(), specs.size()).second)
+            specs.push_back(c.spec());
+    }
+    struct Target
+    {
+        double secondsPerUnit = 0;
+        std::exception_ptr error;
+    };
+    auto targets = parallelMapOrdered(
+        pool_, specs,
+        [](const std::shared_ptr<const models::ScenarioSpec> &spec) {
+            Target t;
+            try {
+                t.secondsPerUnit = sloTargetSecondsPerUnit(spec);
+            } catch (...) {
+                t.error = std::current_exception();
+            }
+            return t;
+        });
+
     ProgressTicker tick(progress, cases.size());
     return parallelMapOrdered(pool_, cases, [&](const SweepCase &c) {
+        const auto &target = targets[target_of.at(c.spec().get())];
         auto result = namingCase(c, [&] {
-            return findBestSetup(c.spec(), c.gen, c.params);
+            if (target.error)
+                std::rethrow_exception(target.error);
+            return findBestSetup(c.spec(), c.gen, target.secondsPerUnit,
+                                 c.params);
         });
         tick();
         return result;

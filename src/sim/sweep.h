@@ -117,7 +117,10 @@ class SweepRunner
     /**
      * SLO-search every case (the Fig. 2 path); results index-aligned
      * with @p cases. The per-case setup override is ignored — the
-     * search explores its own candidates.
+     * search explores its own candidates. One SLO target is resolved
+     * per distinct scenario, shared by its generations, before the
+     * searches fan out; each search prices its candidates for NoPG
+     * only and fully prices its winner (findBestSetup).
      */
     std::vector<SloResult> search(
         const std::vector<SweepCase> &cases,

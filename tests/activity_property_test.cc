@@ -2,8 +2,9 @@
  * @file
  * Property tests for the timeline gap algebra overhaul: the O(log G)
  * seam arithmetic in repeated() must match n-fold append(), the
- * ordered-merge append() must match a naive re-sort reference, and
- * the sorted-gap-multiset invariant must hold after every operation.
+ * in-place merge in append() must match both a naive re-sort and the
+ * ordered merge into a fresh list it replaced, and the
+ * sorted-gap-multiset invariant must hold after every operation.
  */
 
 #include <gtest/gtest.h>
@@ -89,6 +90,116 @@ TEST(ActivityProperty, AppendMatchesNaiveResort)
         EXPECT_EQ(merged.activeCycles(),
                   a.activeCycles() + b.activeCycles());
     }
+}
+
+/**
+ * Random timeline with @p bursts bursts and gap lengths drawn from
+ * [1, max_gap]: hundreds of distinct gap lengths, some repeated, and
+ * idle or active ends at random.
+ */
+ActivityTimeline
+manyGapTimeline(Prng &rng, int bursts, Cycles max_gap)
+{
+    std::vector<Interval> ivs;
+    Cycles cursor = rng.uniform(0, 1) ? 0 : 1 + rng.uniform(0, max_gap);
+    for (int i = 0; i < bursts; ++i) {
+        Cycles end = cursor + 1 + rng.uniform(0, 4);
+        ivs.push_back({cursor, end});
+        cursor = end + 1 + rng.uniform(0, max_gap - 1);
+    }
+    Cycles span = rng.uniform(0, 1) ? ivs.back().end : cursor;
+    return ActivityTimeline::fromIntervals(span, ivs);
+}
+
+/**
+ * The gaps of @p a after append(@p b) as append() computed them
+ * before it merged in place: drop one trailing gap of @p a, ordered-
+ * merge @p b's gaps into a fresh list skipping one gap of @p b's
+ * leading length, then add the fused seam gap.
+ */
+std::vector<GapGroup>
+orderedMergeAppendGaps(const ActivityTimeline &a,
+                       const ActivityTimeline &b)
+{
+    auto find = [](std::vector<GapGroup> &gaps, Cycles len) {
+        return std::lower_bound(gaps.begin(), gaps.end(), len,
+                                [](const GapGroup &g, Cycles l) {
+                                    return g.length < l;
+                                });
+    };
+    std::vector<GapGroup> mine = a.gaps();
+    if (a.trailingIdle() > 0) {
+        auto it = find(mine, a.trailingIdle());
+        if (--it->count == 0)
+            mine.erase(it);
+    }
+
+    const auto &other = b.gaps();
+    std::vector<GapGroup> merged;
+    auto push = [&merged](Cycles length, std::uint64_t count) {
+        if (count == 0)
+            return;
+        if (!merged.empty() && merged.back().length == length)
+            merged.back().count += count;
+        else
+            merged.push_back({length, count});
+    };
+    bool skipped = b.leadingIdle() == 0;
+    std::size_t i = 0, j = 0;
+    while (i < mine.size() || j < other.size()) {
+        if (j >= other.size() ||
+            (i < mine.size() && mine[i].length <= other[j].length)) {
+            push(mine[i].length, mine[i].count);
+            ++i;
+        } else {
+            std::uint64_t count = other[j].count;
+            if (!skipped && other[j].length == b.leadingIdle()) {
+                --count;
+                skipped = true;
+            }
+            push(other[j].length, count);
+            ++j;
+        }
+    }
+    EXPECT_TRUE(skipped);
+
+    Cycles seam = a.trailingIdle() + b.leadingIdle();
+    if (seam > 0) {
+        auto it = find(merged, seam);
+        if (it != merged.end() && it->length == seam)
+            ++it->count;
+        else
+            merged.insert(it, {seam, 1});
+    }
+    return merged;
+}
+
+TEST(ActivityProperty, InPlaceAppendMatchesOrderedMerge)
+{
+    Prng rng(9001);
+    int seam_skips = 0;
+    for (int iter = 0; iter < 300; ++iter) {
+        // Small and large gap lists on either side, with narrow gap
+        // ranges so the two sides share many lengths.
+        bool big_a = iter % 2 == 0;
+        bool big_b = iter % 3 == 0;
+        Cycles max_gap = iter % 5 == 0 ? 16 : 2000;
+        auto a = big_a ? manyGapTimeline(rng, 400, max_gap)
+                       : randomTimeline(rng);
+        auto b = big_b ? manyGapTimeline(rng, 400, max_gap)
+                       : randomTimeline(rng);
+        if (a.span() == 0 || b.span() == 0)
+            continue;
+        if (b.leadingIdle() > 0)
+            ++seam_skips;
+
+        auto want = orderedMergeAppendGaps(a, b);
+        auto merged = a;
+        merged.append(b);
+        merged.checkInvariants();
+        ASSERT_EQ(merged.gaps(), want) << "iteration " << iter;
+    }
+    EXPECT_GT(seam_skips, 50);
 }
 
 TEST(ActivityProperty, RepeatedMatchesNFoldAppend)

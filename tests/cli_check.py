@@ -13,9 +13,14 @@ without a sweep grid):
 - `--metrics-out FILE` exits 0 and writes a metrics snapshot whose
   FNV-1a digest footer verifies.
 
-fig21's default grid (5 workloads x 5 leakage settings) must report
-25 engine pricings from 5 executions: adjacent cases that differ only
-in gating params share one execution. Its `--metrics-out` and
+The `--metrics-out` engine counters pin how much work three default
+grids do. fig21's (5 workloads x 5 leakage settings) must report 25
+engine pricings from 5 executions: adjacent cases that differ only in
+gating params share one execution. The SLO searches of fig02 (17
+workloads x 4 generations) and table4 (17 workloads on NPU-D) must
+resolve one target per workload and fully price only each search's
+winner: fig02 reports 541 executions and 68 pricings, table4 151 and
+17. fig21's `--metrics-out` and
 `--trace-out` files must render through tools/report_html.py into a
 page that names every `sim.engine.*` counter.
 
@@ -74,9 +79,15 @@ batch = 1
 
 DIGEST_KEY = '"digest": "'
 
-# fig21's default grid: one execution per workload, one pricing per
-# (workload, leakage setting).
-FIG21_COUNTERS = {"sim.engine.executions": 5, "sim.engine.pricings": 25}
+# Engine counters of default grids. fig21: one execution per
+# workload, one pricing per (workload, leakage setting). fig02 and
+# table4: one SLO target execution per workload, one execution per
+# candidate setup, and a full pricing for each search's winner only.
+ENGINE_COUNTERS = {
+    "fig21_": {"sim.engine.executions": 5, "sim.engine.pricings": 25},
+    "fig02_": {"sim.engine.executions": 541, "sim.engine.pricings": 68},
+    "table4_": {"sim.engine.executions": 151, "sim.engine.pricings": 17},
+}
 
 REPORT_HTML = Path(__file__).resolve().parent.parent / "tools" / \
     "report_html.py"
@@ -153,8 +164,10 @@ def check_grid_binary(binary, paper_spec, infeasible_spec):
             check(digest_verifies(text),
                   f"{name} --metrics-out: digest footer does not "
                   f"verify")
-            if name.startswith("fig21_"):
-                for counter, want in FIG21_COUNTERS.items():
+            for prefix, counters in ENGINE_COUNTERS.items():
+                if not name.startswith(prefix):
+                    continue
+                for counter, want in counters.items():
                     got = counter_value(text, counter)
                     check(got == want,
                           f"{name} --metrics-out: {counter} = {got}, "

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "sim/engine.h"
 
 namespace regate {
@@ -162,6 +165,85 @@ TEST(Engine, PeakPowerAtLeastAvgPower)
                   run.result(p).avgPowerW * 0.99)
             << policyName(p);
     }
+}
+
+/**
+ * Fig. 18's peak power of @p policy the way it was computed before
+ * the policies shared their record loops: one loop per policy over
+ * every op record.
+ */
+double
+perPolicyPeakPower(const WorkloadRun &run, Policy policy,
+                   const energy::PowerModel &power,
+                   const arch::GatingParams &params, double tau)
+{
+    const auto &ratios = params.ratios();
+    double peak = 0;
+    for (const auto &rec : run.opRecords) {
+        double dur_s = static_cast<double>(rec.duration()) * tau;
+        double p_static = 0;
+        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
+                       Component::Ici}) {
+            double leak_c = policy == Policy::NoPG    ? 1.0
+                            : policy == Policy::Ideal ? 0.0
+                                                      : ratios.logicOff;
+            p_static += power.staticPower(c) *
+                        (rec.activeFrac(c) +
+                         (1.0 - rec.activeFrac(c)) * leak_c);
+        }
+        double sram_leak = policy == Policy::NoPG    ? 1.0
+                           : policy == Policy::Ideal ? 0.0
+                           : policy == Policy::Full  ? ratios.sramOff
+                                                     : ratios.sramSleep;
+        p_static += power.staticPower(Component::Sram) *
+                    (rec.sramUsedFrac() +
+                     (1.0 - rec.sramUsedFrac()) * sram_leak);
+        p_static += power.staticPower(Component::Other);
+        peak = std::max(peak, p_static + rec.dynamicJ() / dur_s);
+    }
+    return peak;
+}
+
+TEST(Engine, PeakPowerBitwiseEqualsPerPolicyLoop)
+{
+    // Each peak must equal the per-policy loop bit for bit, under the
+    // default ratios and under ratios where Base/HW and Full differ
+    // in every term; pricing one execution twice must not matter.
+    const auto &cfg = arch::npuConfig(NpuGeneration::D);
+    Engine engine(cfg);
+    arch::LeakageRatios ratios;
+    ratios.logicOff = 0.4;
+    ratios.sramSleep = 0.5;
+    ratios.sramOff = 0.25;
+    auto ex = engine.execute(gemmNormGraph(10), 1);
+    for (const auto &params :
+         {arch::GatingParams(), arch::GatingParams(ratios)}) {
+        auto run = engine.price(ex, params);
+        for (auto p : allPolicies()) {
+            EXPECT_EQ(run.result(p).peakPowerW,
+                      perPolicyPeakPower(run, p, engine.powerModel(),
+                                         params, cfg.cycleTime()))
+                << policyName(p);
+        }
+        EXPECT_EQ(engine.priceNoPg(ex, params).peakPowerW,
+                  run.result(Policy::NoPG).peakPowerW);
+    }
+}
+
+TEST(Engine, PriceNoPgEqualsNoPgRowOfPrice)
+{
+    Engine engine(arch::npuConfig(NpuGeneration::D));
+    auto ex = engine.execute(gemmNormGraph(10), 1);
+    auto run = engine.price(ex, engine.params());
+    auto nopg = engine.priceNoPg(ex, engine.params());
+    const auto &want = run.result(Policy::NoPG);
+    EXPECT_EQ(nopg.policy, Policy::NoPG);
+    EXPECT_EQ(nopg.overheadCycles, 0u);
+    EXPECT_EQ(nopg.seconds, want.seconds);
+    EXPECT_EQ(nopg.perfOverhead, want.perfOverhead);
+    EXPECT_EQ(nopg.avgPowerW, want.avgPowerW);
+    EXPECT_EQ(0, std::memcmp(&nopg.energy, &want.energy,
+                             sizeof(nopg.energy)));
 }
 
 TEST(Engine, SramOffBeatsSleep)

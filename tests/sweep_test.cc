@@ -51,31 +51,52 @@ TEST(ThreadPool, PropagatesExceptions)
     EXPECT_THROW(fut.get(), ConfigError);
 }
 
+TEST(ThreadPool, OneThreadRunsEachTaskInlineOnTheCaller)
+{
+    ThreadPool pool(1);
+    EXPECT_EQ(pool.threadCount(), 1u);
+    const auto caller = std::this_thread::get_id();
+    auto fut = pool.submit([] { return std::this_thread::get_id(); });
+    EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(fut.get(), caller);
+
+    auto bad = pool.submit(
+        []() -> int { throw ConfigError("boom"); });
+    EXPECT_EQ(bad.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_THROW(bad.get(), ConfigError);
+}
+
 TEST(ParallelMapOrdered, RethrowsTheFirstFailureAfterEveryTaskFinished)
 {
     // Items 0 and 5 fail; the rest take a moment. The caller must see
-    // item 0's exception, and only once no task is left running.
-    ThreadPool pool(2);
-    std::vector<int> items;
-    for (int i = 0; i < 16; ++i)
-        items.push_back(i);
-    std::atomic<int> finished{0};
-    try {
-        parallelMapOrdered(pool, items, [&finished](int v) {
-            if (v == 0 || v == 5) {
+    // item 0's exception, and only once no task is left running —
+    // also on a one-thread pool, which runs the tasks inline.
+    for (unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        ThreadPool pool(threads);
+        std::vector<int> items;
+        for (int i = 0; i < 16; ++i)
+            items.push_back(i);
+        std::atomic<int> finished{0};
+        try {
+            parallelMapOrdered(pool, items, [&finished](int v) {
+                if (v == 0 || v == 5) {
+                    ++finished;
+                    throw ConfigError("item " + std::to_string(v));
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
                 ++finished;
-                throw ConfigError("item " + std::to_string(v));
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ++finished;
-            return v;
-        });
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("item 0"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_EQ(finished.load(), 16);
+                return v;
+            });
+            ADD_FAILURE() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("item 0"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_EQ(finished.load(), 16);
+        }
     }
 }
 
@@ -167,6 +188,30 @@ TEST(SweepRunner, SearchMatchesSerialSearch)
         EXPECT_EQ(results[i].secondsPerUnit, ref.secondsPerUnit);
         EXPECT_EQ(results[i].energyPerUnit, ref.energyPerUnit);
         EXPECT_EQ(results[i].sloRatio, ref.sloRatio);
+    }
+}
+
+TEST(SweepRunner, NestedSearchOnItsOwnOneThreadPoolCompletes)
+{
+    // A search nested in a task of the runner's own pool would block
+    // its only worker on futures that worker must run; a one-thread
+    // pool runs both levels inline instead.
+    auto grid = builtinGrid({models::Workload::DlrmS},
+                            {arch::NpuGeneration::C,
+                             arch::NpuGeneration::D});
+    SweepRunner runner(1);
+    auto nested = parallelMapOrdered(
+        runner.pool(), grid, [&runner](const SweepCase &c) {
+            return findBestSetup(c.spec(), c.gen, c.params,
+                                 &runner.pool());
+        });
+    auto searched = runner.search(grid);
+    ASSERT_EQ(nested.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_TRUE(nested[i].setup == searched[i].setup);
+        EXPECT_EQ(nested[i].energyPerUnit, searched[i].energyPerUnit);
+        expectRunsIdentical(nested[i].report.run(),
+                            searched[i].report.run());
     }
 }
 
