@@ -27,7 +27,6 @@
 #include "core/gating_engine.h"
 #include "ici/collective.h"
 #include "ici/topology.h"
-#include "mem/sram_allocator.h"
 #include "sa/sa_analytical.h"
 #include "sa/systolic_array.h"
 #include "sim/report.h"
@@ -257,25 +256,6 @@ BM_TimelineRepeated(benchmark::State &state)
         benchmark::DoNotOptimize(unit.repeated(1u << 20));
 }
 BENCHMARK(BM_TimelineRepeated);
-
-void
-BM_SramAllocator(benchmark::State &state)
-{
-    Prng rng(7);
-    for (auto _ : state) {
-        mem::SramAllocator alloc(128u << 20, 4096);
-        for (int i = 0; i < 200; ++i) {
-            std::uint64_t start = i;
-            try {
-                alloc.allocate((1 + rng.uniform(0, 63)) << 12, start,
-                               start + 1 + rng.uniform(0, 9));
-            } catch (const ConfigError &) {
-            }
-        }
-        benchmark::DoNotOptimize(alloc.peakBytes());
-    }
-}
-BENCHMARK(BM_SramAllocator);
 
 void
 BM_CollectiveModel(benchmark::State &state)

@@ -91,13 +91,6 @@ struct NpuConfig
     /** Peak MAC/s across all SAs. */
     double peakMacs() const { return peakFlops() / 2.0; }
 
-    /** Peak VU elementwise op/s across all VUs. */
-    double
-    peakVuOps() const
-    {
-        return static_cast<double>(numVu) * vuLanes() * frequencyHz;
-    }
-
     /** Number of 4 KB power-gating segments in the scratchpad. */
     std::uint64_t
     sramSegments() const

@@ -21,53 +21,5 @@ powerModeName(PowerMode mode)
     throw LogicError("unknown PowerMode");
 }
 
-void
-UnitPowerState::setMode(PowerMode mode, Cycles now)
-{
-    mode_ = mode;
-    switch (mode) {
-      case PowerMode::Off:
-      case PowerMode::Sleep:
-        gateNow(now);
-        break;
-      case PowerMode::On:
-        wake(now);
-        break;
-      case PowerMode::Auto:
-        // Physical state unchanged; hardware policy takes over.
-        break;
-    }
-}
-
-void
-UnitPowerState::gateNow(Cycles now)
-{
-    if (!poweredOn_)
-        return;
-    poweredOn_ = false;
-    gatedSince_ = now;
-    ++gateEvents_;
-}
-
-Cycles
-UnitPowerState::wake(Cycles now)
-{
-    if (poweredOn_)
-        return now >= wakeDone_ ? now : wakeDone_;
-    gatedAccum_ += now - gatedSince_;
-    poweredOn_ = true;
-    wakeDone_ = now + wakeDelay_;
-    return wakeDone_;
-}
-
-Cycles
-UnitPowerState::gatedCycles(Cycles now) const
-{
-    Cycles total = gatedAccum_;
-    if (!poweredOn_)
-        total += now - gatedSince_;
-    return total;
-}
-
 }  // namespace core
 }  // namespace regate

@@ -58,9 +58,6 @@ class AreaModel
     /** Baseline (no ReGate) component areas. */
     const AreaBreakdown &baseline() const { return baseline_; }
 
-    /** Extra area added by the ReGate gating logic, mm^2. */
-    double gatingOverheadMm2() const { return gatingOverhead_; }
-
     /** Gating overhead as a fraction of baseline die area. */
     double
     gatingOverheadFraction() const
@@ -73,9 +70,6 @@ class AreaModel
 
     /** Area of one full systolic array in mm^2. */
     double saArea() const { return saArea_; }
-
-    /** Area of one vector unit in mm^2. */
-    double vuArea() const { return vuArea_; }
 
   private:
     const arch::NpuConfig &cfg_;

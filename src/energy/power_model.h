@@ -63,7 +63,6 @@ class PowerModel
     dynamicEnergy(const WorkCounters &work) const;
 
     const arch::NpuConfig &config() const { return cfg_; }
-    const AreaModel &areaModel() const { return area_; }
 
   private:
     const arch::NpuConfig &cfg_;

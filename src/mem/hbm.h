@@ -40,9 +40,6 @@ class HbmModel
     /** Fixed access latency, seconds. */
     double latency() const { return latency_; }
 
-    /** Refresh interval tREFI, seconds (auto-refresh cadence). */
-    static constexpr double kRefreshInterval = 3.9e-6;
-
   private:
     const arch::NpuConfig &cfg_;
     double bandwidth_;

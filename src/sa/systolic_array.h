@@ -109,7 +109,6 @@ class SystolicArray
     const SaRunStats &stats() const { return stats_; }
 
     int width() const { return width_; }
-    bool gatingEnabled() const { return gating_; }
 
     /** row_on/col_on bitmaps from the last loadWeights. */
     const Bitmap &rowOn() const { return rowOn_; }

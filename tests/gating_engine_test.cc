@@ -9,6 +9,7 @@
 
 #include "common/error.h"
 
+#include "core/bet.h"
 #include "core/gating_engine.h"
 
 namespace regate {
@@ -86,6 +87,43 @@ TEST(GatingEngine, HwDetectWastesWindowAndExposesDelay)
     EXPECT_EQ(r.exposedDelay, 2u * 2);
     EXPECT_EQ(r.gateEvents, 2u);
     EXPECT_GT(r.saved(), 0.0);
+}
+
+TEST(GatingEngine, HwDetectGapOfExactlyTheWindow)
+{
+    // The FSM fires once the window has elapsed: a gap of exactly
+    // `window` cycles is one gate event with nothing left to gate,
+    // yet it still pays the transition energy and the wake-up stall.
+    GatingParams p;
+    const Cycles window = p.detectionWindow(GatedUnit::Vu);
+    const Cycles delay = p.onOffDelay(GatedUnit::Vu);
+    const UnitSpec spec = vuSpec();
+    const double e_tr =
+        transitionEnergy(spec.staticPower, p.breakEven(GatedUnit::Vu),
+                         delay, p.gatedLeakage(GatedUnit::Vu),
+                         spec.cycleTime);
+    ASSERT_GT(e_tr, 0.0);
+
+    auto t = ActivityTimeline::fromIntervals(
+        window + 20, {{0, 10}, {10 + window, 20 + window}});
+    auto r = evaluateTimeline(t, spec, GatingMode::HwDetect, p);
+    EXPECT_EQ(r.gateEvents, 1u);
+    EXPECT_EQ(r.gatedCycles, 0u);
+    EXPECT_EQ(r.exposedDelay, delay);
+    EXPECT_DOUBLE_EQ(r.transitionEnergy, e_tr);
+    EXPECT_NEAR(r.staticEnergy, r.staticEnergyNoPg + e_tr,
+                1e-12 * r.staticEnergyNoPg);
+
+    // One cycle shorter and the window never elapses.
+    auto shorter = ActivityTimeline::fromIntervals(
+        window + 19, {{0, 10}, {9 + window, 19 + window}});
+    auto s = evaluateTimeline(shorter, spec, GatingMode::HwDetect, p);
+    EXPECT_EQ(s.gateEvents, 0u);
+    EXPECT_EQ(s.gatedCycles, 0u);
+    EXPECT_EQ(s.exposedDelay, 0u);
+    EXPECT_DOUBLE_EQ(s.transitionEnergy, 0.0);
+    EXPECT_NEAR(s.staticEnergy, s.staticEnergyNoPg,
+                1e-12 * s.staticEnergyNoPg);
 }
 
 TEST(GatingEngine, HwDetectGatesBelowBreakEven)

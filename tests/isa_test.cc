@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the setpm ISA extension (Fig. 14): encoding, decoding,
- * round-trips, malformed-word rejection, and program building.
+ * round-trips, malformed-word rejection, program building, and the
+ * printable power-mode names.
  */
 
 #include <gtest/gtest.h>
@@ -135,6 +136,14 @@ TEST(FuType, Names)
 {
     EXPECT_EQ(fuTypeName(FuType::Sa), "sa");
     EXPECT_EQ(fuTypeName(FuType::Sram), "sram");
+}
+
+TEST(PowerMode, Names)
+{
+    EXPECT_EQ(core::powerModeName(PowerMode::Auto), "auto");
+    EXPECT_EQ(core::powerModeName(PowerMode::On), "on");
+    EXPECT_EQ(core::powerModeName(PowerMode::Off), "off");
+    EXPECT_EQ(core::powerModeName(PowerMode::Sleep), "sleep");
 }
 
 }  // namespace
